@@ -35,7 +35,8 @@ from repro.netsim.trace import Trace
 
 from repro.api.predictor import Predictor
 from repro.api.spec import ExperimentSpec
-from repro.api.store import ArtifactStore, finetuned_key, pretrained_key
+from repro.api.stages import STAGE_REGISTRY
+from repro.api.store import ArtifactStore
 
 __all__ = ["Experiment"]
 
@@ -114,8 +115,9 @@ class Experiment:
         (``{"pretrain": {"precision": "float32"}}``); float64 keeps the
         pre-policy behaviour and cache keys exactly.
         """
-        if precision is None:
-            precision = self.spec.params_for("pretrain").get("precision", "float64")
+        from repro.runtime.stages import training_precision
+
+        precision = precision or training_precision(self.spec, "pretrain")
         return self.context.pretrained(precision=precision)
 
     def pretrain_variant(self, **overrides) -> PretrainResult:
@@ -162,51 +164,30 @@ class Experiment:
         """Fine-tune (or restore) a model plus the pipeline that feeds it."""
         if task not in ("delay", "mct"):
             raise ValueError(f"unknown task {task!r}; choose 'delay' or 'mct'")
+        from repro.runtime.stages import training_precision
+
         scenario = scenario or self.spec.scenario
-        if precision is None:
-            precision = self.spec.params_for("finetune").get("precision", "float64")
-        # Ablation variants always pre-train at the default precision;
-        # the spec-level knob addresses only the shared model (mirrors
-        # repro.runtime.plan._base_pretrained_key).
-        pretrain_precision = "float64"
-        if features is None and aggregation is None:
-            pretrain_precision = self.spec.params_for("pretrain").get(
-                "precision", "float64"
-            )
+        precision = precision or training_precision(self.spec, "finetune")
         settings = self.scale.finetune_settings
-        base_config = self.scale.model_config(features=features, aggregation=aggregation)
         key = None
         if self.store is not None:
-            from repro.api.stages import versioned_key
-            from repro.api.store import precision_key
-
-            base_key = precision_key(
-                versioned_key(
-                    "pretrain",
-                    pretrained_key(
-                        self.spec.scenario_config(ScenarioKind.PRETRAIN),
-                        self.scale.window,
-                        self.scale.n_runs,
-                        base_config,
-                        self.scale.pretrain_settings,
-                    ),
-                ),
-                pretrain_precision,
-            )
-            key = precision_key(
-                versioned_key(
-                    "finetune",
-                    finetuned_key(
-                        base_key, self.spec.scenario_config(scenario), task, mode, fraction, settings
-                    ),
-                ),
-                precision,
+            key = STAGE_REGISTRY.get("finetune").task_key(
+                self.spec,
+                {
+                    "scenario": scenario,
+                    "task": task,
+                    "mode": mode,
+                    "fraction": fraction,
+                    "features": features,
+                    "aggregation": aggregation,
+                    "precision": precision,
+                },
             )
             cached = self.store.get_finetuned(key)
             if cached is not None:
                 return cached
         if features is None and aggregation is None:
-            pre = self.pretrained(precision=pretrain_precision)
+            pre = self.pretrained()
         else:
             pre = self.pretrain_variant(features=features, aggregation=aggregation)
         bundle = self.bundle(scenario)

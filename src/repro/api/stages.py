@@ -14,7 +14,9 @@ adding a new workload must not require editing core code.  A
   (and, through derived keys, its downstream dependents) instead of the
   global :data:`~repro.api.store.ARTIFACT_SCHEMA_VERSION` hammer;
 * ``key_fn(spec, params)`` — the content-address of the stage's artifact
-  (``None`` → the stage is not cacheable);
+  (``None`` → the stage is not cacheable).  For the built-in stages it
+  is the one derivation of their store keys, shared by the planner,
+  ``Experiment`` and ``ExperimentContext`` (:mod:`repro.runtime.stages`);
 * ``run(experiment, inputs, params)`` — the pure stage body, returning
   ``(cache_hit, result_dict)`` where the result is a small JSON-able
   dictionary (it crosses process boundaries and lands in the campaign
@@ -58,7 +60,6 @@ __all__ = [
     "StageRegistry",
     "STAGE_REGISTRY",
     "register_stage",
-    "versioned_key",
     "inputs_by_stage",
 ]
 
@@ -71,12 +72,8 @@ class Stage:
     traces→bundle→pretrain→finetune→evaluate pipeline; ``sweepable``
     stages may be planned directly by ``plan_campaign`` /
     ``repro sweep --stages`` (table-only stages such as ``scratch``
-    and ``baselines`` are not).  ``plan_fn(plan, spec, params)``
-    optionally replaces the default planner for stages whose task graph
-    needs bespoke construction; without it the planner recursively plans
-    ``deps`` and adds one task keyed by :meth:`task_key`.  ``module``
-    records where ``run`` was defined so worker processes can import it
-    before dispatch.
+    and ``baselines`` are not).  ``module`` records where ``run`` was
+    defined so worker processes can import it before dispatch.
     """
 
     name: str
@@ -88,7 +85,6 @@ class Stage:
     description: str = ""
     default: bool = False
     sweepable: bool = True
-    plan_fn: Callable | None = None
     module: str = ""
 
     def versioned_key(self, base: str | None) -> str | None:
@@ -127,7 +123,6 @@ class StageRegistry:
         description: str = "",
         default: bool = False,
         sweepable: bool = True,
-        plan_fn: Callable | None = None,
         replace_existing: bool = False,
     ):
         """Decorator: register ``fn(experiment, inputs, params)``."""
@@ -145,7 +140,6 @@ class StageRegistry:
                 description=description,
                 default=default,
                 sweepable=sweepable,
-                plan_fn=plan_fn,
                 module=getattr(fn, "__module__", "") or "",
             )
             return fn
@@ -159,10 +153,6 @@ class StageRegistry:
             raise ValueError(
                 f"unknown stage {name!r}; registered stages: {self.names()}"
             ) from None
-
-    def find(self, name: str) -> Stage | None:
-        """Like :meth:`get` but ``None`` for unregistered names."""
-        return self._entries.get(name)
 
     def names(self) -> list[str]:
         return sorted(self._entries)
@@ -230,28 +220,6 @@ def register_stage(name: str, **options):
     See :class:`StageRegistry.register` for the keyword options.
     """
     return STAGE_REGISTRY.register(name, **options)
-
-
-def versioned_key(name: str, base: str | None) -> str | None:
-    """Apply a registered stage's version to a base key.
-
-    Callers are the interactive key paths (``ExperimentContext`` /
-    ``Experiment``), which must stay in lockstep with planned task keys:
-    if ``name`` is not registered yet (possible only in exotic import
-    orders that bypass ``repro.api``), the built-in stage definitions
-    are imported first — silently passing a built-in's key through would
-    serve stale artifacts after a version bump.  Names that remain
-    unregistered afterwards (uninstalled custom stages) pass the key
-    through unchanged, matching their version-0 planning behaviour.
-    """
-    stage = STAGE_REGISTRY.find(name)
-    if stage is None:
-        # Deliberately lazy: at call time the import is cycle-free, and
-        # pure `repro.api` users never pay for `repro.runtime` otherwise.
-        import repro.runtime.stages  # noqa: F401 — registers built-ins
-
-        stage = STAGE_REGISTRY.find(name)
-    return base if stage is None else stage.versioned_key(base)
 
 
 def inputs_by_stage(inputs: dict | None) -> dict:

@@ -152,6 +152,10 @@ class ExperimentContext:
       are content-addressed by everything that produced them, so a fresh
       context (even in a new process) with the same spec is served from
       disk instead of re-simulating / re-training.
+
+    Store keys come from the stages' registered ``key_fn`` functions —
+    the derivation the campaign planner uses — so the artifacts a
+    campaign planned are exactly the ones a context serves.
     """
 
     def __init__(self, scale: ExperimentScale, store=None, seed: int = 0):
@@ -159,12 +163,21 @@ class ExperimentContext:
         self.store = store
         self.seed = seed
         self._bundles: dict[str, DatasetBundle] = {}
-        self._pretrained: PretrainResult | None = None
-        self._pretrain_variants: dict[str, PretrainResult] = {}
+        self._pretrained: dict[str, PretrainResult] = {}
+        self._spec = None
 
     def scenario_config(self, kind: str) -> "ScenarioConfig":
         """The resolved scenario config for a registered scenario name."""
         return self.scale.scenario(kind, seed=self.seed)
+
+    def _task_key(self, stage: str, params: dict) -> str:
+        """A registered stage's key for this context's scale and seed."""
+        from repro.api.stages import STAGE_REGISTRY
+        from repro.runtime.plan import spec_for_scale
+
+        if self._spec is None:
+            self._spec = spec_for_scale(self.scale, seed=self.seed)
+        return STAGE_REGISTRY.get(stage).task_key(self._spec, params)
 
     # -- simulation ---------------------------------------------------------------
 
@@ -176,52 +189,61 @@ class ExperimentContext:
         """
         from repro.netsim.scenarios import generate_traces
 
-        scenario = self.scenario_config(kind)
         key = None
         if self.store is not None:
-            from repro.api.stages import versioned_key
-            from repro.api.store import traces_key
-
-            key = versioned_key("traces", traces_key(scenario, self.scale.n_runs))
+            key = self._task_key("traces", {"scenario": kind})
             cached = self.store.get_traces(key, self.scale.n_runs)
             if cached is not None:
                 return cached
-        traces = generate_traces(scenario, n_runs=self.scale.n_runs)
+        traces = generate_traces(self.scenario_config(kind), n_runs=self.scale.n_runs)
         if self.store is not None:
             self.store.put_traces(key, traces)
         return traces
 
     # -- datasets -----------------------------------------------------------------
 
+    def _receiver_index(self, kind: str) -> dict[int, int] | None:
+        """Receiver identities are shared with pre-training."""
+        if kind == ScenarioKind.PRETRAIN:
+            return None
+        return self.bundle(ScenarioKind.PRETRAIN).receiver_index
+
+    def bundle_store_key(self, kind: str) -> str:
+        """The store key of one scenario's bundle (its one derivation).
+
+        Unlike the other built-in keys it depends on data — fine-tuning
+        bundles embed the pre-training receiver index, so this builds
+        (or loads) the pre-training bundle first.  The bundle stage's
+        registered ``key_fn`` is therefore only a planning surrogate.
+        """
+        from repro.api.stages import STAGE_REGISTRY
+        from repro.api.store import bundle_key
+
+        return STAGE_REGISTRY.get("bundle").versioned_key(
+            bundle_key(
+                self.scenario_config(kind),
+                self.scale.window,
+                self.scale.n_runs,
+                self._receiver_index(kind),
+            )
+        )
+
     def bundle(self, kind: str) -> DatasetBundle:
         """The windowed dataset for one scenario (cached; store-backed)."""
         if kind not in self._bundles:
-            receiver_index = None
-            if kind != ScenarioKind.PRETRAIN:
-                # Receiver identities are shared with pre-training.
-                receiver_index = self.bundle(ScenarioKind.PRETRAIN).receiver_index
-            scenario = self.scenario_config(kind)
             key = None
             if self.store is not None:
-                from repro.api.stages import versioned_key
-                from repro.api.store import bundle_key
-
-                key = versioned_key(
-                    "bundle",
-                    bundle_key(
-                        scenario, self.scale.window, self.scale.n_runs, receiver_index
-                    ),
-                )
+                key = self.bundle_store_key(kind)
                 cached = self.store.get_bundle(key)
                 if cached is not None:
                     self._bundles[kind] = cached
                     return cached
             bundle = generate_dataset(
-                scenario,
+                self.scenario_config(kind),
                 window_config=self.scale.window,
                 n_runs=self.scale.n_runs,
                 name=kind,
-                receiver_index=receiver_index,
+                receiver_index=self._receiver_index(kind),
                 traces=self.traces(kind) if self.store is not None else None,
             )
             if self.store is not None:
@@ -233,66 +255,39 @@ class ExperimentContext:
 
     def _pretrain_cached(
         self,
-        config: NTTConfig,
-        settings: TrainSettings,
+        features: FeatureSpec | None = None,
+        aggregation: AggregationSpec | None = None,
         precision: str = "float64",
     ) -> PretrainResult:
         """Pre-train one configuration, store-backed when possible.
 
-        Results are also memoised in-process, so ablation variants are
-        trained once per context even without an artifact store.
-        ``precision`` folds into both cache layers only when non-default
-        (float64 keys stay byte-identical).
+        Results are also memoised in-process under their store key, so
+        ablation variants are trained once per context even without an
+        artifact store.
         """
-        from repro.api.hashing import stable_hash
-        from repro.api.store import precision_key
-
-        memo_key = stable_hash(
-            {"config": config, "settings": settings, "precision": precision}
+        key = self._task_key(
+            "pretrain",
+            {"features": features, "aggregation": aggregation, "precision": precision},
         )
-        if memo_key in self._pretrain_variants:
-            return self._pretrain_variants[memo_key]
-        key = None
-        if self.store is not None:
-            from repro.api.stages import versioned_key
-            from repro.api.store import pretrained_key
-
-            key = precision_key(
-                versioned_key(
-                    "pretrain",
-                    pretrained_key(
-                        self.scenario_config(ScenarioKind.PRETRAIN),
-                        self.scale.window,
-                        self.scale.n_runs,
-                        config,
-                        settings,
-                    ),
-                ),
-                precision,
+        if key in self._pretrained:
+            return self._pretrained[key]
+        result = self.store.get_pretrained(key) if self.store is not None else None
+        if result is None:
+            config = self.scale.model_config(features=features, aggregation=aggregation)
+            result = pretrain(
+                config,
+                self.bundle(ScenarioKind.PRETRAIN),
+                settings=self.scale.pretrain_settings,
+                precision=precision,
             )
-            cached = self.store.get_pretrained(key)
-            if cached is not None:
-                self._pretrain_variants[memo_key] = cached
-                return cached
-        result = pretrain(
-            config, self.bundle(ScenarioKind.PRETRAIN), settings=settings, precision=precision
-        )
-        if self.store is not None:
-            self.store.put_pretrained(key, result)
-        self._pretrain_variants[memo_key] = result
+            if self.store is not None:
+                self.store.put_pretrained(key, result)
+        self._pretrained[key] = result
         return result
 
     def pretrained(self, precision: str = "float64") -> PretrainResult:
         """The shared fully-featured pre-trained NTT (cached)."""
-        if precision != "float64":
-            return self._pretrain_cached(
-                self.scale.model_config(), self.scale.pretrain_settings, precision
-            )
-        if self._pretrained is None:
-            self._pretrained = self._pretrain_cached(
-                self.scale.model_config(), self.scale.pretrain_settings
-            )
-        return self._pretrained
+        return self._pretrain_cached(precision=precision)
 
     def pretrain_variant(
         self,
@@ -306,11 +301,10 @@ class ExperimentContext:
         own checkpoint) unless a custom ``pipeline`` is supplied, whose
         fitted statistics the cache key cannot see.
         """
-        config = self.scale.model_config(features=features, aggregation=aggregation)
         if pipeline is None:
-            return self._pretrain_cached(config, self.scale.pretrain_settings)
+            return self._pretrain_cached(features, aggregation)
         return pretrain(
-            config,
+            self.scale.model_config(features=features, aggregation=aggregation),
             self.bundle(ScenarioKind.PRETRAIN),
             settings=self.scale.pretrain_settings,
             pipeline=pipeline,

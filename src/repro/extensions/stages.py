@@ -28,7 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.api.hashing import stable_hash
-from repro.api.stages import register_stage, versioned_key
+from repro.api.stages import STAGE_REGISTRY, register_stage
 from repro.core.pretrain import PretrainResult
 from repro.datasets.generation import generate_dataset
 from repro.extensions.continual import DriftMonitor, DriftReport
@@ -166,24 +166,12 @@ def _drift_params(params: dict) -> tuple[float, float]:
 
 
 def _drift_key(spec, params: dict) -> str:
-    from repro.api.store import pretrained_key
-
-    scale = spec.to_scale()
     sensitivity, tolerance = _drift_params(params)
-    model_key = versioned_key(
-        "pretrain",
-        pretrained_key(
-            spec.scenario_config(ScenarioKind.PRETRAIN),
-            scale.window,
-            scale.n_runs,
-            scale.model_config(),
-            scale.pretrain_settings,
-        ),
-    )
     return stable_hash(
         {
             "artifact": "drift_monitor",
-            "model": model_key,
+            # The deployed model's own key, precision included.
+            "model": STAGE_REGISTRY.get("pretrain").task_key(spec, {}),
             "scenario": spec.scenario_config(spec.scenario),
             "sensitivity": sensitivity,
             "tolerance": tolerance,

@@ -24,9 +24,9 @@ Quickstart::
     print(result.manifest_path)             # the JSON manifest
 
 The same engine backs ``repro sweep``, the paper's table runners and
-the benchmark fan-outs.  The legacy stage tuples (``DEFAULT_STAGES``,
-``SWEEP_STAGES``, ``STAGES``) remain importable as deprecation shims
-derived from the registry.
+the benchmark fan-outs.  Stage sets come from the registry:
+``STAGE_REGISTRY.default_pipeline()``, ``.sweep_stages()`` and
+``.all_stages()``.
 """
 
 from repro.api.stages import STAGE_REGISTRY, Stage, register_stage
@@ -63,16 +63,4 @@ __all__ = [
     "Stage",
     "STAGE_REGISTRY",
     "register_stage",
-    "DEFAULT_STAGES",
-    "SWEEP_STAGES",
-    "STAGES",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecation shims: live views of the registry (see repro.runtime.plan).
-    if name in ("DEFAULT_STAGES", "SWEEP_STAGES", "STAGES"):
-        from repro.runtime import plan
-
-        return getattr(plan, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,9 +9,12 @@ pipeline::
 is no longer hard-coded: every stage — built-in, extension or
 user-registered — lives in the
 :data:`~repro.api.stages.STAGE_REGISTRY`, and the planner reads stage
-sets, cache kinds, keys and versions from it.  A spec may also carry its
-own ``pipeline`` (any sweepable registered stages) plus per-stage
-``stage_params``; both participate in the spec's content hash.
+sets, cache kinds and keys from it: every task is keyed by its stage's
+``task_key(spec, params)`` (the registered ``key_fn`` with the stage
+version folded in), the same derivation the interactive
+:class:`~repro.api.experiment.Experiment` paths use.  A spec may also
+carry its own ``pipeline`` (any sweepable registered stages) plus
+per-stage ``stage_params``; both participate in the spec's content hash.
 
 Tasks are deduplicated by the same content-addressed keys the
 :class:`~repro.api.store.ArtifactStore` uses, so two specs sharing a
@@ -26,10 +29,6 @@ via ``spawn`` at planning time (deterministic in the plan, independent
 of execution order), covering engine-level randomness such as retry
 backoff.  Stage-level randomness always comes from the spec itself —
 that is what keys the cache.
-
-The pre-registry stage tuples (``DEFAULT_STAGES``, ``SWEEP_STAGES``,
-``STAGES``) remain importable as deprecation shims computed from the
-registry at access time; new code should call the registry directly.
 """
 
 from __future__ import annotations
@@ -43,17 +42,9 @@ import repro.runtime.stages  # noqa: F401
 from repro.api.hashing import stable_hash
 from repro.api.spec import ExperimentSpec
 from repro.api.stages import STAGE_REGISTRY
-from repro.api.store import (
-    evaluation_key,
-    finetuned_key,
-    precision_key,
-    pretrained_key,
-    scratch_key,
-    traces_key,
-)
 from repro.core.finetune import FinetuneMode
 from repro.netsim.scenarios import ScenarioKind
-from repro.runtime.stages import resolve_variant
+from repro.runtime.stages import training_precision
 
 __all__ = [
     "StageTask",
@@ -61,34 +52,12 @@ __all__ = [
     "plan_campaign",
     "plan_table",
     "spec_for_scale",
-    "resolve_variant",
-    "DEFAULT_STAGES",
-    "SWEEP_STAGES",
-    "STAGES",
 ]
 
 #: Stage names whose planning is orchestrated as one chain by
 #: :func:`_plan_spec` (conditional dependencies, ablation coupling);
 #: every other registered stage plans generically via its entry.
 _CHAIN_STAGES = ("traces", "bundle", "pretrain", "finetune", "evaluate", "trace_stats")
-
-
-def __getattr__(name: str):
-    # Deprecation shims: the pre-registry tuples, now derived from the
-    # registry so late-registered stages (extensions, user plugins)
-    # appear automatically.
-    if name == "DEFAULT_STAGES":
-        return STAGE_REGISTRY.default_pipeline()
-    if name == "SWEEP_STAGES":
-        return STAGE_REGISTRY.sweep_stages()
-    if name == "STAGES":
-        return STAGE_REGISTRY.all_stages()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _versioned(stage_name: str, base: str | None) -> str | None:
-    """A stage's cache key with its registered version folded in."""
-    return STAGE_REGISTRY.get(stage_name).versioned_key(base)
 
 
 def spec_for_scale(scale, seed: int = 0, scenario: str = "pretrain") -> ExperimentSpec:
@@ -318,20 +287,32 @@ def _validate_sweep_stages(stages: tuple[str, ...]) -> None:
         )
 
 
-def _stage_params(spec: ExperimentSpec, name: str) -> dict:
-    """The spec's declared parameters for one stage (may be empty)."""
-    return spec.params_for(name)
+def _add(
+    plan: CampaignPlan,
+    name: str,
+    spec: ExperimentSpec,
+    params: dict,
+    deps: tuple[str, ...] = (),
+) -> str:
+    """Add one task keyed by its registered stage: kind and key both
+    come from the registry entry."""
+    stage = STAGE_REGISTRY.get(name)
+    return plan.add(
+        name, spec, params, kind=stage.kind, key=stage.task_key(spec, params), deps=deps
+    )
+
+
+def _with_precision(params: dict, spec: ExperimentSpec, stage: str) -> dict:
+    """Record a non-default training precision in the task parameters
+    (the manifest shows it; the key already folds it in)."""
+    precision = training_precision(spec, stage)
+    if precision != "float64":
+        params["precision"] = precision
+    return params
 
 
 def _plan_traces(plan: CampaignPlan, spec: ExperimentSpec, scenario: str) -> str:
-    scale = spec.to_scale()
-    return plan.add(
-        "traces",
-        spec,
-        {"scenario": scenario},
-        kind="traces",
-        key=_versioned("traces", traces_key(spec.scenario_config(scenario), scale.n_runs)),
-    )
+    return _add(plan, "traces", spec, {"scenario": scenario})
 
 
 def _plan_bundle(
@@ -341,60 +322,16 @@ def _plan_bundle(
     scenarios, the pre-training bundle that donates receiver ids).
 
     The real bundle key depends on the pre-training receiver index — a
-    value only known once traces exist — so planning dedups on a
-    surrogate key over the same inputs; the store still content-addresses
-    the artifact exactly.
+    value only known once traces exist — so the bundle stage's
+    ``key_fn`` is a surrogate over the same inputs; the store still
+    content-addresses the artifact exactly.
     """
-    scale = spec.to_scale()
     deps = []
     if "traces" in stages:
         deps.append(_plan_traces(plan, spec, scenario))
     if scenario != ScenarioKind.PRETRAIN:
         deps.append(_plan_bundle(plan, spec, ScenarioKind.PRETRAIN, stages))
-    surrogate = stable_hash(
-        {
-            "plan": "bundle",
-            "scenario": spec.scenario_config(scenario),
-            "window": scale.window,
-            "n_runs": scale.n_runs,
-            "pretrain": None
-            if scenario == ScenarioKind.PRETRAIN
-            else spec.scenario_config(ScenarioKind.PRETRAIN),
-        }
-    )
-    return plan.add(
-        "bundle",
-        spec,
-        {"scenario": scenario},
-        kind="bundles",
-        key=_versioned("bundle", surrogate),
-        deps=tuple(deps),
-    )
-
-
-def _stage_precision(spec: ExperimentSpec, stage: str) -> str:
-    """The spec's compute-precision knob for one training stage."""
-    return spec.params_for(stage).get("precision", "float64")
-
-
-def _base_pretrained_key(spec: ExperimentSpec, features=None, aggregation=None) -> str:
-    scale = spec.to_scale()
-    feature_spec, aggregation_spec = resolve_variant(scale, features, aggregation)
-    base = _versioned(
-        "pretrain",
-        pretrained_key(
-            spec.scenario_config(ScenarioKind.PRETRAIN),
-            scale.window,
-            scale.n_runs,
-            scale.model_config(features=feature_spec, aggregation=aggregation_spec),
-            scale.pretrain_settings,
-        ),
-    )
-    # Ablation variants always train at the default precision — the
-    # spec-level knob addresses only the shared pre-trained model.
-    if features is None and aggregation is None:
-        base = precision_key(base, _stage_precision(spec, "pretrain"))
-    return base
+    return _add(plan, "bundle", spec, {"scenario": scenario}, tuple(deps))
 
 
 def _plan_pretrain(
@@ -409,17 +346,8 @@ def _plan_pretrain(
         deps.append(_plan_bundle(plan, spec, ScenarioKind.PRETRAIN, stages))
     params = {"features": features, "aggregation": aggregation}
     if features is None and aggregation is None:
-        precision = _stage_precision(spec, "pretrain")
-        if precision != "float64":
-            params["precision"] = precision
-    return plan.add(
-        "pretrain",
-        spec,
-        params,
-        kind="checkpoints",
-        key=_base_pretrained_key(spec, features, aggregation),
-        deps=tuple(deps),
-    )
+        params = _with_precision(params, spec, "pretrain")
+    return _add(plan, "pretrain", spec, params, tuple(deps))
 
 
 def _plan_finetune(
@@ -433,25 +361,9 @@ def _plan_finetune(
     features: str | None = None,
     aggregation: str | None = None,
 ) -> str:
-    scale = spec.to_scale()
     deps = [_plan_pretrain(plan, spec, stages, features, aggregation)]
     if "bundle" in stages:
         deps.append(_plan_bundle(plan, spec, scenario, stages))
-    precision = _stage_precision(spec, "finetune")
-    key = precision_key(
-        _versioned(
-            "finetune",
-            finetuned_key(
-                _base_pretrained_key(spec, features, aggregation),
-                spec.scenario_config(scenario),
-                task,
-                mode,
-                fraction,
-                scale.finetune_settings,
-            ),
-        ),
-        precision,
-    )
     params = {
         "scenario": scenario,
         "task": task,
@@ -460,16 +372,8 @@ def _plan_finetune(
         "features": features,
         "aggregation": aggregation,
     }
-    if precision != "float64":
-        params["precision"] = precision
-    return plan.add(
-        "finetune",
-        spec,
-        params,
-        kind="checkpoints",
-        key=key,
-        deps=tuple(deps),
-    )
+    params = _with_precision(params, spec, "finetune")
+    return _add(plan, "finetune", spec, params, tuple(deps))
 
 
 def _plan_spec(plan: CampaignPlan, spec: ExperimentSpec, stages: set) -> None:
@@ -477,7 +381,7 @@ def _plan_spec(plan: CampaignPlan, spec: ExperimentSpec, stages: set) -> None:
     every other registered stage generically."""
     scenario = spec.scenario
     if "trace_stats" in stages:
-        plan.add("trace_stats", spec, {"scenario": scenario})
+        _add(plan, "trace_stats", spec, {"scenario": scenario})
     model_task = None
     if "pretrain" in stages:
         model_task = _plan_pretrain(plan, spec, stages)
@@ -492,18 +396,8 @@ def _plan_spec(plan: CampaignPlan, spec: ExperimentSpec, stages: set) -> None:
     ):
         model_task = _plan_finetune(plan, spec, scenario, stages)
     if "evaluate" in stages and model_task is not None:
-        model_key = plan.tasks[model_task].key
-        plan.add(
-            "evaluate",
-            spec,
-            {"scenario": scenario, "task": "delay"},
-            kind="evaluations",
-            key=_versioned(
-                "evaluate",
-                evaluation_key(model_key, spec.scenario_config(scenario), "delay"),
-            ),
-            deps=(model_task,),
-        )
+        params = {"scenario": scenario, "task": "delay"}
+        _add(plan, "evaluate", spec, params, (model_task,))
     # Registered non-chain stages (extensions, user plugins), planned in
     # registration order for determinism.
     for name in STAGE_REGISTRY.all_stages():
@@ -515,13 +409,8 @@ def _plan_registered(plan: CampaignPlan, spec: ExperimentSpec, name: str) -> str
     """Generic planning for a registered stage: plan its declared
     dependencies recursively, then add one task keyed by the stage's
     versioned content address."""
-    stage = STAGE_REGISTRY.get(name)
-    if stage.plan_fn is not None:
-        return stage.plan_fn(plan, spec, _stage_params(spec, name))
-    deps = tuple(_plan_dep(plan, spec, dep) for dep in stage.deps)
-    params = _stage_params(spec, name)
-    key = stage.task_key(spec, params)
-    return plan.add(name, spec, params, kind=stage.kind, key=key, deps=deps)
+    deps = tuple(_plan_dep(plan, spec, dep) for dep in STAGE_REGISTRY.get(name).deps)
+    return _add(plan, name, spec, spec.params_for(name), deps)
 
 
 def _plan_dep(plan: CampaignPlan, spec: ExperimentSpec, name: str) -> str:
@@ -577,53 +466,17 @@ def _plan_scratch(
     fraction: float | None,
     stages: set,
 ) -> str:
-    scale = spec.to_scale()
-    deps = [_plan_pretrain(plan, spec, stages)]  # donates the fitted pipeline
-    deps.append(_plan_bundle(plan, spec, scenario, stages))
-    key = _versioned(
-        "scratch",
-        scratch_key(
-            _base_pretrained_key(spec),
-            spec.scenario_config(scenario),
-            task,
-            fraction,
-            scale.model_config(),
-            scale.finetune_settings,
-        ),
+    deps = (
+        _plan_pretrain(plan, spec, stages),  # donates the fitted pipeline
+        _plan_bundle(plan, spec, scenario, stages),
     )
-    return plan.add(
-        "scratch",
-        spec,
-        {"scenario": scenario, "task": task, "fraction": fraction},
-        kind="checkpoints",
-        key=key,
-        deps=tuple(deps),
-    )
+    params = {"scenario": scenario, "task": task, "fraction": fraction}
+    return _add(plan, "scratch", spec, params, deps)
 
 
 def _plan_baselines(plan: CampaignPlan, spec: ExperimentSpec, scenario: str, stages: set) -> str:
-    scale = spec.to_scale()
     deps = (_plan_bundle(plan, spec, scenario, stages),)
-    key = _versioned(
-        "baselines",
-        evaluation_key(
-            "baselines",
-            {
-                "scenario": spec.scenario_config(scenario),
-                "window": scale.window,
-                "n_runs": scale.n_runs,
-            },
-            "baselines",
-        ),
-    )
-    return plan.add(
-        "baselines",
-        spec,
-        {"scenario": scenario},
-        kind="evaluations",
-        key=key,
-        deps=deps,
-    )
+    return _add(plan, "baselines", spec, {"scenario": scenario}, deps)
 
 
 #: Table 1's ablation rows → symbolic variant tokens.

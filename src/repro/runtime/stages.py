@@ -22,30 +22,52 @@ stage's version after editing its code to invalidate that stage's
 artifacts (and everything keyed off them) without touching the rest of
 the cache.
 
+Every cacheable built-in stage registers its ``key_fn`` here, and these
+are the only derivations of the built-in store keys: the planner, the
+:class:`~repro.core.pipeline.ExperimentContext` store paths and the
+:class:`~repro.api.experiment.Experiment` facade all call
+``STAGE_REGISTRY.get(name).task_key(spec, params)``, so planned and
+interactive runs address the same artifacts by construction.  The one
+exception is the bundle: its real key embeds the data-dependent
+pre-training receiver index, so its ``key_fn`` is a planning surrogate
+and the store key has its own single derivation,
+:meth:`ExperimentContext.bundle_store_key
+<repro.core.pipeline.ExperimentContext.bundle_store_key>`.
+
 The training stages accept a ``precision`` stage parameter
 (``ExperimentSpec(stage_params={"pretrain": {"precision": "float32"}})``
 and likewise for ``finetune``): the model trains in float32 for half
 the matmul memory bandwidth, and the resulting checkpoints are cached
 under precision-derived keys (:func:`repro.api.store.precision_key`) —
-the float64 default leaves every key byte-identical.  The planner folds
-the knob into task keys and the :class:`~repro.api.experiment.Experiment`
-facade reads it from the spec, so planned and interactive runs stay in
-lockstep.
+the float64 default leaves every key byte-identical.  The knob is read
+in one place, :func:`training_precision`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.api.stages import STAGE_REGISTRY, register_stage, versioned_key
-from repro.api.store import bundle_key
+from repro.api.hashing import stable_hash
+from repro.api.stages import STAGE_REGISTRY, register_stage
+from repro.api.store import (
+    evaluation_key,
+    finetuned_key,
+    precision_key,
+    pretrained_key,
+    scratch_key,
+    traces_key,
+)
 from repro.core.baselines import evaluate_baselines
 from repro.core.features import FeaturePipeline, FeatureSpec
-from repro.core.finetune import train_delay_from_scratch, train_mct_from_scratch
+from repro.core.finetune import (
+    FinetuneMode,
+    train_delay_from_scratch,
+    train_mct_from_scratch,
+)
 from repro.netsim.scenarios import ScenarioKind, build_scenario, run_scenario
 from repro.utils.stats import percentile_summary
 
-__all__ = ["resolve_variant"]
+__all__ = ["resolve_variant", "training_precision"]
 
 #: Feature-ablation tokens (kept symbolic so task parameters stay JSON).
 _FEATURE_VARIANTS = {
@@ -55,47 +77,170 @@ _FEATURE_VARIANTS = {
 }
 
 
-def resolve_variant(scale, features: str | None, aggregation: str | None):
+def resolve_variant(scale, features, aggregation):
     """Symbolic ablation tokens → the concrete config objects.
 
     ``features`` names a :class:`FeatureSpec` ablation constructor;
     ``aggregation`` names an entry of ``scale.aggregation_variants``.
+    Already-resolved objects (and ``None``) pass through unchanged, so
+    the interactive paths key their config objects through the same
+    ``key_fn`` as planned tokens.
     """
-    feature_spec = None
-    if features is not None:
+    if isinstance(features, str):
         try:
-            feature_spec = _FEATURE_VARIANTS[features]()
+            features = _FEATURE_VARIANTS[features]()
         except KeyError:
             raise ValueError(
                 f"unknown feature variant {features!r}; "
                 f"choose from {sorted(_FEATURE_VARIANTS)}"
             ) from None
-    aggregation_spec = None
-    if aggregation is not None:
+    if isinstance(aggregation, str):
         try:
-            aggregation_spec = scale.aggregation_variants[aggregation]
+            aggregation = scale.aggregation_variants[aggregation]
         except KeyError:
             raise ValueError(
                 f"unknown aggregation variant {aggregation!r}; "
                 f"choose from {sorted(scale.aggregation_variants)}"
             ) from None
-    return feature_spec, aggregation_spec
+    return features, aggregation
+
+
+def training_precision(spec, stage: str, params: dict | None = None) -> str:
+    """A training stage's compute precision: an explicit ``precision``
+    in ``params``, else the spec's ``stage_params`` knob, else float64.
+
+    The one read of the knob — the key functions below, the planner's
+    task parameters and :class:`~repro.api.experiment.Experiment` all
+    resolve precision here.
+    """
+    explicit = (params or {}).get("precision")
+    return explicit or spec.params_for(stage).get("precision", "float64")
+
+
+# -- cache keys ---------------------------------------------------------------------
+#
+# ``key_fn(spec, params)`` of every cacheable built-in stage; Stage.task_key
+# folds the stage version in.  A parameter missing from ``params`` takes
+# the stage body's default, so interactive callers pass only what they set.
+
+
+def _traces_key(spec, params):
+    return traces_key(spec.scenario_config(params["scenario"]), spec.to_scale().n_runs)
+
+
+def _bundle_surrogate_key(spec, params):
+    """Planning surrogate over the bundle's inputs: the store key embeds
+    the pre-training receiver index, a value only known once traces
+    exist (see ``ExperimentContext.bundle_store_key``)."""
+    scenario = params["scenario"]
+    scale = spec.to_scale()
+    return stable_hash(
+        {
+            "plan": "bundle",
+            "scenario": spec.scenario_config(scenario),
+            "window": scale.window,
+            "n_runs": scale.n_runs,
+            "pretrain": None
+            if scenario == ScenarioKind.PRETRAIN
+            else spec.scenario_config(ScenarioKind.PRETRAIN),
+        }
+    )
+
+
+def _pretrain_key(spec, params):
+    scale = spec.to_scale()
+    features, aggregation = resolve_variant(
+        scale, params.get("features"), params.get("aggregation")
+    )
+    key = pretrained_key(
+        spec.scenario_config(ScenarioKind.PRETRAIN),
+        scale.window,
+        scale.n_runs,
+        scale.model_config(features=features, aggregation=aggregation),
+        scale.pretrain_settings,
+    )
+    # Ablation variants always train at the default precision — the
+    # spec-level knob addresses only the shared pre-trained model.
+    if features is None and aggregation is None:
+        key = precision_key(key, training_precision(spec, "pretrain", params))
+    return key
+
+
+def _base_model_key(spec, params):
+    """Key of the pre-trained model (or ablation variant) a fine-tune,
+    from-scratch run or evaluation starts from."""
+    variant = {name: params.get(name) for name in ("features", "aggregation")}
+    return STAGE_REGISTRY.get("pretrain").task_key(spec, variant)
+
+
+def _finetune_key(spec, params):
+    key = finetuned_key(
+        _base_model_key(spec, params),
+        spec.scenario_config(params["scenario"]),
+        params.get("task", "delay"),
+        params.get("mode", FinetuneMode.DECODER_ONLY),
+        params.get("fraction"),
+        spec.to_scale().finetune_settings,
+    )
+    return precision_key(key, training_precision(spec, "finetune", params))
+
+
+def _scratch_key(spec, params):
+    scale = spec.to_scale()
+    return scratch_key(
+        _base_model_key(spec, {}),
+        spec.scenario_config(params["scenario"]),
+        params.get("task", "delay"),
+        params.get("fraction"),
+        scale.model_config(),
+        scale.finetune_settings,
+    )
+
+
+def _baselines_key(spec, params):
+    scale = spec.to_scale()
+    return evaluation_key(
+        "baselines",
+        {
+            "scenario": spec.scenario_config(params["scenario"]),
+            "window": scale.window,
+            "n_runs": scale.n_runs,
+        },
+        "baselines",
+    )
+
+
+def _evaluate_key(spec, params):
+    """Keyed by the model the stage body actually evaluates: the
+    pre-trained NTT on its own delay task, else the fine-tune."""
+    scenario, task = params["scenario"], params.get("task", "delay")
+    if scenario == ScenarioKind.PRETRAIN and task == "delay":
+        model_key = _base_model_key(spec, {})
+    else:
+        model_key = STAGE_REGISTRY.get("finetune").task_key(
+            spec,
+            {
+                "scenario": scenario,
+                "task": task,
+                "mode": params.get("mode", FinetuneMode.DECODER_ONLY),
+            },
+        )
+    return evaluation_key(model_key, spec.scenario_config(scenario), task)
 
 
 # -- the standard pipeline --------------------------------------------------------
 #
-# Planning for these stages is bespoke (conditional dependencies, the
-# pre-training receiver coupling, ablation variants): repro.runtime.plan
-# orchestrates them as one chain (_plan_spec / _plan_dep) rather than
-# through the generic per-entry planner, and custom stages may declare
-# dependencies on 'traces' / 'bundle' / 'pretrain' / 'finetune' to pull
-# that chain in.  The registry entries below own everything else:
-# dispatch, kind, version, and the stage sets the shims derive from.
+# The entries below own dispatch, kind, version and keys.  Which tasks a
+# spec needs (conditional dependencies, the pre-training receiver
+# coupling, ablation variants) is decided by repro.runtime.plan, which
+# chains these stages itself; custom stages may declare dependencies on
+# 'traces' / 'bundle' / 'pretrain' / 'finetune' to pull that chain in.
 
 
 @register_stage(
     "traces",
     kind="traces",
+    key_fn=_traces_key,
     default=True,
     description="raw simulation traces for one scenario",
 )
@@ -140,31 +285,18 @@ def _stage_traces(experiment, inputs, params):
     "bundle",
     deps=("traces",),
     kind="bundles",
+    key_fn=_bundle_surrogate_key,
     default=True,
     description="windowed dataset bundle for one scenario",
 )
 def _stage_bundle(experiment, inputs, params):
     scenario = params["scenario"]
     store = experiment.store
-    hit = False
-    if store is not None:
-        # The real key needs the pre-training receiver index, which the
-        # dependency on the pre-training bundle has already produced.
-        # Versioned exactly like the storage path (ExperimentContext
-        # .bundle), so hit accounting tracks a stage-version bump.
-        receiver_index = None
-        if scenario != ScenarioKind.PRETRAIN:
-            receiver_index = experiment.bundle(ScenarioKind.PRETRAIN).receiver_index
-        key = versioned_key(
-            "bundle",
-            bundle_key(
-                experiment.spec.scenario_config(scenario),
-                experiment.scale.window,
-                experiment.scale.n_runs,
-                receiver_index,
-            ),
-        )
-        hit = store.is_current("bundles", key)
+    # Probed before the bundle is built, with the key its storage path
+    # uses, so hit accounting tracks a stage-version bump.
+    hit = store is not None and store.is_current(
+        "bundles", experiment.context.bundle_store_key(scenario)
+    )
     bundle = experiment.bundle(scenario)
     return hit, {
         "n_windows": bundle.n_windows,
@@ -177,6 +309,7 @@ def _stage_bundle(experiment, inputs, params):
     "pretrain",
     deps=("bundle",),
     kind="checkpoints",
+    key_fn=_pretrain_key,
     default=True,
     description="pre-train the shared NTT (or an ablated variant)",
 )
@@ -210,6 +343,7 @@ def _summarise_finetune(result) -> dict:
     "finetune",
     deps=("pretrain", "bundle"),
     kind="checkpoints",
+    key_fn=_finetune_key,
     default=True,
     description="fine-tune the pre-trained NTT on a target scenario",
 )
@@ -234,6 +368,7 @@ def _stage_finetune(experiment, inputs, params):
     "scratch",
     deps=("pretrain", "bundle"),
     kind="checkpoints",
+    key_fn=_scratch_key,
     sweepable=False,
     description="the paper's from-scratch rows (table planners only)",
 )
@@ -271,6 +406,7 @@ def _stage_scratch(experiment, inputs, params):
     "baselines",
     deps=("bundle",),
     kind="evaluations",
+    key_fn=_baselines_key,
     sweepable=False,
     description="naive baseline evaluations (table planners only)",
 )
@@ -291,6 +427,7 @@ def _stage_baselines(experiment, inputs, params):
     "evaluate",
     deps=("finetune",),
     kind="evaluations",
+    key_fn=_evaluate_key,
     default=True,
     description="the spec's model vs. the naive baselines on its test set",
 )

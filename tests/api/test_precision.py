@@ -61,6 +61,22 @@ class TestPlannedKeys:
         assert fp32["pretrain"] == default["pretrain"]
         assert fp32["finetune"] != default["finetune"]
 
+    def test_evaluate_without_finetune_stage_keys_the_finetuned_model(self):
+        # Planned without a finetune stage, evaluate still fine-tunes
+        # inline, so its key must follow the fine-tune precision (and
+        # match the full pipeline's evaluate task).
+        pipeline = ("traces", "bundle", "pretrain", "evaluate")
+        keys = set()
+        for stage_params in (None, {"finetune": {"precision": "float32"}}):
+            spec = ExperimentSpec(
+                scenario="case1", scale="smoke", stage_params=stage_params
+            )
+            (short,) = [t for t in plan_campaign([spec], stages=pipeline).ordered()
+                        if t.stage == "evaluate"]
+            assert short.key == _keys_by_stage(spec)["evaluate"]
+            keys.add(short.key)
+        assert len(keys) == 2
+
     def test_precision_recorded_in_task_params(self):
         plan = plan_campaign(
             [

@@ -94,6 +94,21 @@ class TestDriftMonitorStage:
         assert second.summary["cache_hits"] == second.summary["total"]
         assert second.results[drift_id] == row
 
+    def test_each_precision_monitors_its_own_model(self):
+        # The drift report is keyed by the deployed model's key, so a
+        # float32 spec may not be served the float64 model's report.
+        specs = [
+            fast_spec("case1"),
+            fast_spec("case1", stage_params={"pretrain": {"precision": "float32"}}),
+        ]
+        plan = plan_campaign(specs, stages=("drift_monitor",))
+        drifts = [t for t in plan.ordered() if t.stage == "drift_monitor"]
+        pretrains = [t for t in plan.ordered() if t.stage == "pretrain"]
+        assert len(drifts) == len(pretrains) == 2
+        for drift, pretrain in zip(drifts, pretrains):
+            assert [d for d in drift.deps if d.startswith("pretrain:")] == [pretrain.id]
+            assert drift.spec_hashes == pretrain.spec_hashes
+
     def test_sensitivity_changes_the_key(self):
         loose = fast_spec("case1", stage_params={"drift_monitor": {"sensitivity": 100.0}})
         tight = fast_spec("case1", stage_params={"drift_monitor": {"sensitivity": 1.0}})

@@ -1,14 +1,21 @@
 """Tests for the first-class Stage API: registry semantics, golden key
 stability across the redesign, and custom stages riding the engine."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.api import ArtifactStore, ExperimentSpec, TrainSettings
 from repro.api.hashing import stable_hash
 from repro.api.stages import STAGE_REGISTRY, StageRegistry, inputs_by_stage
-from repro.runtime import CampaignEngine, plan_campaign, run_campaign
+from repro.runtime import CampaignEngine, plan_campaign, plan_table, run_campaign
 
 FAST = TrainSettings(epochs=1, batch_size=32, patience=None)
+FLOAT32 = {"pretrain": {"precision": "float32"}, "finetune": {"precision": "float32"}}
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -42,18 +49,6 @@ class TestRegistry:
         assert "federated_pretrain" in STAGE_REGISTRY
         assert "drift_monitor" in STAGE_REGISTRY
         assert "federated_pretrain" in STAGE_REGISTRY.sweep_stages()
-
-    def test_default_pipeline_matches_legacy_tuple(self):
-        from repro.runtime import DEFAULT_STAGES
-
-        assert DEFAULT_STAGES == ("traces", "bundle", "pretrain", "finetune", "evaluate")
-        assert STAGE_REGISTRY.default_pipeline() == DEFAULT_STAGES
-
-    def test_legacy_shims_importable(self):
-        from repro.runtime.plan import DEFAULT_STAGES, STAGES, SWEEP_STAGES
-
-        assert set(DEFAULT_STAGES) <= set(SWEEP_STAGES) <= set(STAGES)
-        assert "scratch" in STAGES and "scratch" not in SWEEP_STAGES
 
     def test_duplicate_registration_rejected(self):
         fresh = StageRegistry()
@@ -157,16 +152,182 @@ class TestGoldenKeyStability:
         ("case2", "smoke"): "5ef79c9d663a6011",
     }
 
+    #: Plans beyond the default float64 pipeline (see :func:`_golden_plan`),
+    #: captured before the built-in keys moved into registered key_fns:
+    #: the table plans (scratch, baselines and the ablation variants),
+    #: a float32 spec and the extension stages.
+    PLAN_GOLDEN = {
+        "table1": [
+            ("traces:8d9892dc3ea5", "traces", "8d9892dc3ea52469"),
+            ("bundle:f60fde6a70c6", "bundles", "f60fde6a70c602f7"),
+            ("pretrain:c9ab0628125d", "checkpoints", "c9ab0628125d7278"),
+            ("traces:bc9889e364a3", "traces", "bc9889e364a31f73"),
+            ("bundle:d987a0e30227", "bundles", "d987a0e30227fc23"),
+            ("finetune:cad3a811b4f1", "checkpoints", "cad3a811b4f15262"),
+            ("finetune:ce9d31309f0e", "checkpoints", "ce9d31309f0e4cac"),
+            ("scratch:69aef14a5455", "checkpoints", "69aef14a5455fcaa"),
+            ("scratch:1f514232da18", "checkpoints", "1f514232da18ac3e"),
+            ("baselines:6460c914b070", "evaluations", "6460c914b070fd3b"),
+            ("baselines:158ae932b2a8", "evaluations", "158ae932b2a8eb0a"),
+            ("pretrain:046e1e8815ad", "checkpoints", "046e1e8815adfb03"),
+            ("finetune:cdf60390bf15", "checkpoints", "cdf60390bf15c1a2"),
+            ("finetune:9dfe9f562650", "checkpoints", "9dfe9f5626504fcf"),
+            ("pretrain:045a1696f9f5", "checkpoints", "045a1696f9f57db6"),
+            ("finetune:b9014d2a9f07", "checkpoints", "b9014d2a9f07522f"),
+            ("finetune:15c8b3ba339f", "checkpoints", "15c8b3ba339f7bd5"),
+            ("pretrain:52c02f391cdf", "checkpoints", "52c02f391cdfc328"),
+            ("finetune:6b96e0145415", "checkpoints", "6b96e014541576c9"),
+            ("finetune:ae17d8c0df43", "checkpoints", "ae17d8c0df43830b"),
+            ("pretrain:fc2d1cfe7ba0", "checkpoints", "fc2d1cfe7ba081cf"),
+            ("finetune:2588cc468cfa", "checkpoints", "2588cc468cfaf1bf"),
+            ("finetune:75c38fa1f3e6", "checkpoints", "75c38fa1f3e6cc9d"),
+        ],
+        "table2": [
+            ("traces:8d9892dc3ea5", "traces", "8d9892dc3ea52469"),
+            ("bundle:f60fde6a70c6", "bundles", "f60fde6a70c602f7"),
+            ("pretrain:c9ab0628125d", "checkpoints", "c9ab0628125d7278"),
+            ("traces:bc9889e364a3", "traces", "bc9889e364a31f73"),
+            ("bundle:d987a0e30227", "bundles", "d987a0e30227fc23"),
+            ("finetune:dd4463924697", "checkpoints", "dd44639246973b24"),
+            ("finetune:cad3a811b4f1", "checkpoints", "cad3a811b4f15262"),
+            ("scratch:91f538e4745f", "checkpoints", "91f538e4745fea45"),
+            ("scratch:69aef14a5455", "checkpoints", "69aef14a5455fcaa"),
+        ],
+        "table3": [
+            ("traces:8d9892dc3ea5", "traces", "8d9892dc3ea52469"),
+            ("bundle:f60fde6a70c6", "bundles", "f60fde6a70c602f7"),
+            ("pretrain:c9ab0628125d", "checkpoints", "c9ab0628125d7278"),
+            ("traces:cdc439674535", "traces", "cdc4396745350d9c"),
+            ("bundle:0de5c536e010", "bundles", "0de5c536e01027bc"),
+            ("finetune:80add2b14b5c", "checkpoints", "80add2b14b5c67f9"),
+            ("finetune:46c63ce2d3d4", "checkpoints", "46c63ce2d3d4dac8"),
+            ("scratch:8b74eea0bb11", "checkpoints", "8b74eea0bb1101fa"),
+            ("scratch:82945ffa8a9c", "checkpoints", "82945ffa8a9c8de9"),
+            ("baselines:5d3b76f3a881", "evaluations", "5d3b76f3a881cf8c"),
+            ("pretrain:9a7af0a4910b", "checkpoints", "9a7af0a4910b84b8"),
+            ("finetune:b8c5d1167f5b", "checkpoints", "b8c5d1167f5b5ed7"),
+        ],
+        "float32": [
+            ("traces:8d9892dc3ea5", "traces", "8d9892dc3ea52469"),
+            ("bundle:f60fde6a70c6", "bundles", "f60fde6a70c602f7"),
+            ("pretrain:cf8609ba4e3c", "checkpoints", "cf8609ba4e3c1698"),
+            ("traces:bc9889e364a3", "traces", "bc9889e364a31f73"),
+            ("bundle:d987a0e30227", "bundles", "d987a0e30227fc23"),
+            ("finetune:ebe397b9a4c8", "checkpoints", "ebe397b9a4c82f7c"),
+            ("evaluate:4b39ea6251b3", "evaluations", "4b39ea6251b37d58"),
+        ],
+        "federated_pretrain": [
+            ("federated_pretrain:d1ea1c4cd85a", "checkpoints", "d1ea1c4cd85a1ea6"),
+        ],
+        "drift_monitor": [
+            ("traces:8d9892dc3ea5", "traces", "8d9892dc3ea52469"),
+            ("bundle:f60fde6a70c6", "bundles", "f60fde6a70c602f7"),
+            ("pretrain:c9ab0628125d", "checkpoints", "c9ab0628125d7278"),
+            ("drift_monitor:ad1c6316fa8f", "evaluations", "ad1c6316fa8fc1e5"),
+        ],
+    }
+
     @pytest.mark.parametrize("scenario,scale", sorted(GOLDEN))
     def test_default_pipeline_keys_unchanged(self, scenario, scale):
         plan = plan_campaign([ExperimentSpec(scenario=scenario, scale=scale, seed=0)])
         got = [(task.id, task.kind, task.key) for task in plan.ordered()]
         assert got == self.GOLDEN[(scenario, scale)]
 
+    @pytest.mark.parametrize("name", sorted(PLAN_GOLDEN))
+    def test_plan_keys_unchanged(self, name):
+        got = [(task.id, task.kind, task.key) for task in _golden_plan(name).ordered()]
+        assert got == self.PLAN_GOLDEN[name]
+
     @pytest.mark.parametrize("scenario,scale", sorted(SPEC_HASHES))
     def test_spec_hashes_unchanged(self, scenario, scale):
         spec = ExperimentSpec(scenario=scenario, scale=scale, seed=0)
         assert spec.spec_hash == self.SPEC_HASHES[(scenario, scale)]
+
+
+def _golden_plan(name):
+    """The plan behind one ``PLAN_GOLDEN`` entry."""
+    if name.startswith("table"):
+        plan, _layout = plan_table(int(name[-1]), ExperimentSpec(scale="smoke", seed=0))
+        return plan
+    case1 = ExperimentSpec(scenario="case1", scale="smoke", seed=0)
+    if name == "float32":
+        return plan_campaign([case1.with_overrides(stage_params=FLOAT32)])
+    return plan_campaign([case1], stages=(name,))
+
+
+#: Prints every planned (id, kind, key) of every sweepable stage over
+#: every registered scenario, then of the three table plans.
+_PLAN_EVERYTHING = """
+from repro.api import SCENARIOS, ExperimentSpec
+from repro.api.stages import STAGE_REGISTRY
+from repro.runtime import plan_campaign, plan_table
+
+specs = [
+    ExperimentSpec(scenario=name, scale="smoke", stage_params=params)
+    for name in SCENARIOS.names()
+    for params in (None, %r)
+]
+plans = [plan_campaign(specs, stages=STAGE_REGISTRY.sweep_stages())]
+plans += [plan_table(table, specs[0])[0] for table in (1, 2, 3)]
+for plan in plans:
+    for task in plan.ordered():
+        print(task.id, task.kind, task.key)
+""" % (FLOAT32,)
+
+
+class TestKeyDerivation:
+    """Every built-in key has one derivation, the registered key_fn;
+    these check it from outside: stable across interpreter hash seeds,
+    and the keys a campaign planned are the ones the interactive
+    facade reads back."""
+
+    def _planned_keys(self, hash_seed):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": str(hash_seed),
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", _PLAN_EVERYTHING],
+            env=env, cwd=REPO_ROOT, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_keys_independent_of_hash_seed(self):
+        first, second = self._planned_keys(0), self._planned_keys(4242)
+        assert first == second
+        planned = {line.split(":", 1)[0] for line in first}
+        assert set(STAGE_REGISTRY.sweep_stages()) - {"trace_stats"} <= planned
+        assert {"scratch", "baselines"} <= planned
+
+    def test_campaign_keys_serve_the_facade(self, store, monkeypatch):
+        from repro.api import Experiment
+
+        spec = ExperimentSpec(scale="smoke", pretrain=FAST, finetune=FAST)
+        plan, layout = plan_table(1, spec)
+        outcome = CampaignEngine(store=store).run(plan)
+        assert outcome.ok
+        for task in plan.ordered():
+            if task.kind not in (None, "bundles"):
+                assert store.is_current(task.kind, task.key), task.id
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("served from the store, not trained")
+
+        monkeypatch.setattr("repro.core.pipeline.pretrain", no_training)
+        monkeypatch.setattr("repro.api.experiment.finetune_delay", no_training)
+        monkeypatch.setattr("repro.api.experiment.finetune_mct", no_training)
+        experiment = Experiment(spec, store=store)
+        fraction = spec.to_scale().fine_fraction
+        pre = experiment.pretrained()
+        assert pre.test_mse_seconds2 == outcome[layout["pretrain"]]["test_mse_seconds2"]
+        for task, unit in (("delay", "ft_delay"), ("mct", "ft_mct")):
+            result = experiment.finetuned(scenario="case1", task=task, fraction=fraction)
+            assert result.test_mse == outcome[layout[unit]]["test_mse"]
+        for kind in ("pretrain", "case1"):
+            key = experiment.context.bundle_store_key(kind)
+            assert store.is_current("bundles", key)
 
 
 def _digest_key(spec, params):
