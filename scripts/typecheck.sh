@@ -23,6 +23,7 @@ STRICT_MODULES=(
     src/repro/api/stages.py
     src/repro/obs/metrics.py
     src/repro/utils/clock.py
+    src/repro/utils/blas.py
     src/repro/lint/findings.py
     src/repro/lint/baseline.py
     src/repro/lint/callgraph.py

@@ -50,6 +50,7 @@ from repro.runtime.journal import CampaignJournal, read_journal
 from repro.runtime.plan import CampaignPlan, StageTask, plan_campaign
 from repro.runtime.policy import RetryPolicy
 from repro.runtime.worker import heartbeat_path, run_task
+from repro.utils import blas
 from repro.utils.clock import utc_now_iso, wall_time_unix
 
 __all__ = ["CampaignEngine", "CampaignResult", "run_campaign"]
@@ -257,13 +258,15 @@ class CampaignEngine:
                 RuntimeWarning,
                 stacklevel=2,
             )
+        blas_threads = self._blas_threads(plan, workers, engine_events, journal)
         store_root = None if self.store is None else str(self.store.root)
         try:
             if workers <= 1:
                 self._run_serial(plan, tasks, store_root, context, clock, records, journal)
             else:
                 self._run_pool(
-                    plan, tasks, store_root, workers, clock, records, journal, engine_events
+                    plan, tasks, store_root, workers, clock, records, journal,
+                    engine_events, blas_threads,
                 )
         except BaseException:
             # Crash path (engine bug, KeyboardInterrupt, store failure):
@@ -273,7 +276,7 @@ class CampaignEngine:
             with contextlib.suppress(Exception):
                 crashed = self._finish_manifest(
                     plan, tasks, records, workers, started_unix, started_at,
-                    downgraded, engine_events, clock, status="crashed",
+                    downgraded, engine_events, clock, blas_threads, status="crashed",
                 )
                 if self.store is not None:
                     self.store.put_manifest(plan.campaign_id, crashed)
@@ -285,7 +288,7 @@ class CampaignEngine:
             raise
         manifest = self._finish_manifest(
             plan, tasks, records, workers, started_unix, started_at,
-            downgraded, engine_events, clock, status="complete",
+            downgraded, engine_events, clock, blas_threads, status="complete",
         )
         path = None
         if self.store is not None:
@@ -363,6 +366,38 @@ class CampaignEngine:
         if journal is not None:
             journal.event(event)
         return event
+
+    def _blas_threads(self, plan, workers: int, events: list, journal) -> dict:
+        """Decide each worker's BLAS thread count (recorded in the
+        manifest's ``observability`` block).
+
+        The serial path computes in this process and keeps its count
+        (``"inherited"``).  A pool gets :func:`repro.utils.blas.pool_threads`:
+        each worker's share of the cores (``"sized"``), unless the user
+        chose a count through a ``*_NUM_THREADS`` variable (``"env"``)
+        or numpy's BLAS exposes no thread control (``"unavailable"``,
+        plus one ``runtime.blas_threads_unavailable`` event).
+        """
+        if workers <= 1:
+            return {"per_worker": blas.get_threads(), "source": "inherited"}
+        per_worker, source = blas.pool_threads(workers)
+        if source == "unavailable":
+            self._event(
+                events, journal, "runtime.blas_threads_unavailable",
+                campaign_id=plan.campaign_id, workers=workers,
+            )
+        return {"per_worker": per_worker, "source": source}
+
+    @staticmethod
+    def _process_pool(workers: int, blas_threads: dict) -> ProcessPoolExecutor:
+        """The one pool constructor — the first pool and every respawn
+        size their workers' BLAS threads alike."""
+        sized = blas_threads["source"] == "sized"
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=blas.set_threads if sized else None,
+            initargs=(blas_threads["per_worker"],),
+        )
 
     def _payload(self, plan, task, store_root, attempt, inputs, heartbeat_dir=None) -> dict:
         payload = task.payload(store_root, plan.seed, attempt, inputs=inputs)
@@ -445,7 +480,9 @@ class CampaignEngine:
                 journal.task(record)
         return records
 
-    def _run_pool(self, plan, tasks, store_root, workers, clock, records, journal, events):
+    def _run_pool(
+        self, plan, tasks, store_root, workers, clock, records, journal, events, blas_threads
+    ):
         attempts: dict[str, int] = {}
         failures: dict[str, list] = {}
         by_id = {task.id: task for task in tasks}
@@ -572,7 +609,7 @@ class CampaignEngine:
                 events, journal, "runtime.pool_respawned",
                 campaign_id=plan.campaign_id, workers=workers,
             )
-            return ProcessPoolExecutor(max_workers=workers), newly_ready
+            return self._process_pool(workers, blas_threads), newly_ready
 
         def reap_overdue() -> None:
             """SIGKILL workers whose task blew its wall-clock budget.
@@ -610,7 +647,7 @@ class CampaignEngine:
                     with contextlib.suppress(OSError):
                         os.kill(pid, signal.SIGKILL)
 
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = self._process_pool(workers, blas_threads)
         try:
             while ready or in_flight:
                 for task_id in ready:
@@ -723,7 +760,7 @@ class CampaignEngine:
 
     def _finish_manifest(
         self, plan, tasks, records, workers, started_unix, started_at,
-        downgraded, events, clock, status: str,
+        downgraded, events, clock, blas_threads: dict, status: str,
     ) -> dict:
         """Assemble the final (or crash-partial) manifest."""
         ordered_records = [
@@ -742,7 +779,8 @@ class CampaignEngine:
             manifest["summary"]["pending"] = pending
         if status == "complete" and obs.enabled():
             manifest["observability"] = self._observability(
-                plan, ordered_records, workers, started_unix, manifest["wall_time_s"]
+                plan, ordered_records, workers, started_unix, manifest["wall_time_s"],
+                blas_threads,
             )
         return manifest
 
@@ -806,9 +844,12 @@ class CampaignEngine:
             },
         }
 
-    def _observability(self, plan, records, workers, started_unix, wall_s) -> dict:
+    def _observability(
+        self, plan, records, workers, started_unix, wall_s, blas_threads
+    ) -> dict:
         """The manifest's telemetry block: one campaign root span over
-        every task's span tree, plus the merged worker metrics.
+        every task's span tree, the merged worker metrics, and the BLAS
+        thread count the tasks computed with (see :meth:`_blas_threads`).
 
         Task records carry ``spans``/``metrics`` produced inside
         whichever process executed them (:func:`~repro.runtime.worker.run_task`);
@@ -837,7 +878,7 @@ class CampaignEngine:
             },
             "children": children,
         }
-        return {"metrics": merged, "spans": [root]}
+        return {"metrics": merged, "spans": [root], "blas_threads": blas_threads}
 
 
 def _scales_agree(spec_scale, context_scale) -> bool:

@@ -1,10 +1,16 @@
 """Tests for the campaign engine: execution, retries, skips, manifest."""
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
+import repro.obs as obs
 from repro.api import ArtifactStore, ExperimentSpec, TrainSettings
 from repro.api.stages import STAGE_REGISTRY
 from repro.runtime import CampaignEngine, expand_grid, plan_campaign, run_campaign
+from repro.testing import FAULT_SPEC_ENV
+from repro.utils import blas
 
 FAST = TrainSettings(epochs=1, batch_size=32, patience=None)
 
@@ -195,3 +201,104 @@ class TestEngineConfiguration:
         context = ExperimentContext(get_scale("smoke"), store=store)
         with pytest.raises(ValueError, match="scale"):
             CampaignEngine(store=store).run(plan, context=context)
+
+
+def _report_blas_threads(experiment, inputs, params):
+    return False, {"blas_threads": blas.get_threads()}
+
+
+def _os_threads() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+class TestBlasThreads:
+    """Pool workers compute with their share of the cores' BLAS threads."""
+
+    @pytest.fixture(autouse=True)
+    def probe_stage(self, monkeypatch):
+        """A stage reporting its process's OpenBLAS thread count, on a
+        plan of two independent tasks (so a 2-worker pool is used)."""
+        for name in blas.THREAD_ENV_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(FAULT_SPEC_ENV, raising=False)
+        STAGE_REGISTRY.register("blas_probe")(_report_blas_threads)
+        with obs.scope(True):
+            yield
+        STAGE_REGISTRY._entries.pop("blas_probe", None)
+
+    @pytest.fixture
+    def openblas(self):
+        threads = blas.get_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS build")
+        return threads
+
+    @staticmethod
+    def run_probe(store, workers, retries=0):
+        plan = plan_campaign(fast_specs(seeds=(0, 1)), stages=("blas_probe",))
+        result = CampaignEngine(store=store, workers=workers, retries=retries).run(plan)
+        assert result.ok
+        assert result.manifest["workers"] == workers
+        reported = [payload["blas_threads"] for payload in result.results.values()]
+        return result.manifest, reported
+
+    @staticmethod
+    def share_of_cores(workers):
+        return max(1, len(os.sched_getaffinity(0)) // workers)
+
+    def test_pool_workers_sized_and_parent_untouched(self, store, openblas):
+        manifest, reported = self.run_probe(store, workers=1)
+        assert reported == [openblas, openblas]
+        assert manifest["observability"]["blas_threads"] == {
+            "per_worker": openblas, "source": "inherited",
+        }
+        assert blas.get_threads() == openblas
+
+        manifest, reported = self.run_probe(store, workers=2)
+        expected = self.share_of_cores(2)
+        assert reported == [expected, expected]
+        assert manifest["observability"]["blas_threads"] == {
+            "per_worker": expected, "source": "sized",
+        }
+        assert blas.get_threads() == openblas
+
+    def test_sized_worker_starts_no_blas_threads(self, openblas):
+        # Setting the count starts OpenBLAS's thread pool in a forked
+        # child; left running, its threads spin on the cores the other
+        # workers need.
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs /proc to count threads")
+        with ProcessPoolExecutor(1, initializer=blas.set_threads, initargs=(1,)) as pool:
+            assert pool.submit(_os_threads).result(timeout=60) == 1
+            assert pool.submit(blas.get_threads).result(timeout=60) == 1
+
+    def test_respawned_pool_is_sized(self, store, openblas, monkeypatch):
+        monkeypatch.setenv(FAULT_SPEC_ENV, "blas_probe@0:exit")
+        manifest, reported = self.run_probe(store, workers=2, retries=1)
+        events = [event["event"] for event in manifest["events"]]
+        assert "runtime.pool_respawned" in events
+        for row in manifest["tasks"]:
+            assert [f["error_class"] for f in row["failures"]] == ["worker-lost"]
+        expected = self.share_of_cores(2)
+        assert reported == [expected, expected]
+
+    def test_explicit_thread_variable_wins(self, store, openblas, monkeypatch):
+        # Workers inherit the count OpenBLAS took from the variable at
+        # start-up; the engine must not resize it.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(openblas))
+        manifest, reported = self.run_probe(store, workers=2)
+        assert reported == [openblas, openblas]
+        assert manifest["observability"]["blas_threads"] == {
+            "per_worker": openblas, "source": "env",
+        }
+
+    def test_missing_thread_control_recorded(self, store, monkeypatch):
+        monkeypatch.setattr(blas, "_controls", lambda: blas._Controls(None, None, None))
+        manifest, reported = self.run_probe(store, workers=2)
+        assert reported == [None, None]
+        assert manifest["observability"]["blas_threads"] == {
+            "per_worker": None, "source": "unavailable",
+        }
+        events = [event["event"] for event in manifest["events"]]
+        assert events.count("runtime.blas_threads_unavailable") == 1
+        assert blas.set_threads(1) is False
