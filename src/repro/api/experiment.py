@@ -71,8 +71,9 @@ class Experiment:
         self.spec = spec
         self.scale = spec.to_scale()
         if context is not None:
-            # Bind to an existing context (the campaign engine's serial
-            # path shares one context's in-memory caches across tasks).
+            # Bind to an existing context (the campaign engine's
+            # in-process executor shares one context's in-memory caches
+            # across tasks).
             self.store = context.store if store is _DEFAULT_STORE else store
             self.context = context
         else:

@@ -1,22 +1,19 @@
-"""The campaign engine: execute a task graph serially or on a pool.
+"""The campaign engine: one scheduler loop over two executors.
 
-:class:`CampaignEngine` takes a :class:`~repro.runtime.plan.CampaignPlan`
-and runs its tasks in dependency order — in-process when ``workers <= 1``
-(or when there is no artifact store to share artifacts through), on a
-``ProcessPoolExecutor`` otherwise.  Both paths execute the *same* stage
-implementations (:mod:`repro.runtime.worker`), so interactive runs,
-sweeps and benchmarks cannot drift apart.
+:class:`CampaignEngine` takes a :class:`~repro.runtime.plan.CampaignPlan`,
+rejects a graph with a cycle or an unknown dependency, and runs its
+tasks in dependency order through one ready-queue loop.  The loop hands
+task attempts to an executor — in-process when ``workers <= 1`` (or when
+there is no artifact store to share artifacts through), a
+``ProcessPoolExecutor`` otherwise — and both run the *same* stage code
+(:func:`repro.runtime.worker.run_task`), so interactive runs, sweeps and
+benchmarks cannot drift apart.
 
-Failures are handled by a :class:`~repro.runtime.policy.RetryPolicy`:
-transient errors retry with seeded jittered backoff, fatal (contract)
-errors fail fast, and the pool path additionally recovers from hung and
-killed workers — per-stage wall-clock timeouts (``stage_params``
-``timeout_s`` knob, engine-level default) reap wedged tasks via worker
-heartbeat files under the store's scratch area, and a broken process
-pool is respawned with its in-flight tasks re-enqueued.  Dependents of
-exhausted tasks are skipped.
-
-Every run is *journaled*: each settled task appends one fsynced line to
+Everything else is written once, in the loop, and holds on both
+executors.  A :class:`~repro.runtime.policy.RetryPolicy` retries
+transient errors with seeded jittered backoff and fails fatal (contract)
+errors fast; dependents of a failed task are skipped.  Every settled
+task appends one fsynced line to
 ``manifests/<campaign_id>.journal.jsonl`` through the store, so even a
 SIGKILLed campaign leaves a durable record, and
 :meth:`CampaignEngine.resume` re-plans from the journal header and
@@ -27,11 +24,20 @@ campaign manifest — per-task status, timings and cache hit/miss — is
 written under ``manifests/<campaign_id>`` on completion, and a partial
 ``status: "crashed"`` manifest on the way out of any engine-level
 failure.
+
+Hung and killed workers are the pool executor's business: per-stage
+wall-clock timeouts (``stage_params`` ``timeout_s`` knob, engine-level
+default) reap wedged tasks via worker heartbeat files under the store's
+scratch area, and a broken pool is respawned, its in-flight attempts
+handed back to the loop as ``timeout`` / ``worker-lost`` failures.  An
+in-process stage can be neither preempted nor survived.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import functools
 import json
 import os
 import shutil
@@ -44,6 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro.obs as obs
+from repro.api.experiment import Experiment
 from repro.api.spec import ExperimentSpec
 from repro.api.store import ArtifactStore
 from repro.runtime.journal import CampaignJournal, read_journal
@@ -119,11 +126,11 @@ class CampaignEngine:
         retries: how many times a failed task is re-attempted
             (shorthand for ``policy=RetryPolicy(retries=...)``).
         policy: full retry policy; overrides ``retries`` when given.
-        task_timeout_s: default per-task wall-clock timeout enforced on
-            the pool path (``None`` disables; a spec's per-stage
-            ``timeout_s`` in ``stage_params`` overrides per task).
-            Serial runs cannot preempt an in-process stage, so
-            timeouts only apply to pool execution.
+        task_timeout_s: default per-task wall-clock timeout (``None``
+            disables; a spec's per-stage ``timeout_s`` in
+            ``stage_params`` overrides per task).  Only the pool
+            executor enforces it, and only with a store (its heartbeat
+            files live there): an in-process stage cannot be preempted.
         heartbeat_interval_s: how often pool workers refresh their
             heartbeat files.
     """
@@ -171,7 +178,7 @@ class CampaignEngine:
     ) -> CampaignResult:
         """Execute every task; returns results plus the manifest.
 
-        ``context`` (serial path only) shares one
+        ``context`` (in-process executor only) shares one
         :class:`~repro.core.pipeline.ExperimentContext`'s in-memory
         caches across tasks — the table runners pass theirs so
         interactive runs keep working without a store.  A context binds
@@ -207,6 +214,7 @@ class CampaignEngine:
         started_at = utc_now_iso()
         clock = time.perf_counter()
         tasks = plan.ordered()
+        dependents = _dependents(tasks)
         workers = self.effective_workers(tasks)
         # Derived from the actual decision (not a restatement of the
         # effective_workers policy): serial despite a multi-task plan
@@ -232,21 +240,18 @@ class CampaignEngine:
         if self.store is not None:
             journal = CampaignJournal(self.store.journal_path(plan.campaign_id))
             journal.header(plan, workers, self.retries, resumed=resumed_ids)
+        emit = functools.partial(
+            self._event, engine_events, journal, campaign_id=plan.campaign_id
+        )
         if resumed_ids:
-            self._event(
-                engine_events,
-                journal,
+            emit(
                 "runtime.campaign_resumed",
-                campaign_id=plan.campaign_id,
                 resumed=len(resumed_ids),
                 remaining=len(tasks) - len(resumed_ids),
             )
         if downgraded:
-            self._event(
-                engine_events,
-                journal,
+            emit(
                 "runtime.downgraded_to_serial",
-                campaign_id=plan.campaign_id,
                 requested_workers=self.workers,
                 reason="no artifact store shares artifacts across processes",
             )
@@ -258,16 +263,16 @@ class CampaignEngine:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        blas_threads = self._blas_threads(plan, workers, engine_events, journal)
-        store_root = None if self.store is None else str(self.store.root)
+        if workers <= 1:
+            executor: _Executor = _InProcessExecutor(self.store, context)
+        else:
+            executor = _PoolExecutor(
+                workers, self.store, plan.campaign_id, emit, self._task_timeout
+            )
+        blas_threads = executor.blas_threads
         try:
-            if workers <= 1:
-                self._run_serial(plan, tasks, store_root, context, clock, records, journal)
-            else:
-                self._run_pool(
-                    plan, tasks, store_root, workers, clock, records, journal,
-                    engine_events, blas_threads,
-                )
+            with executor:
+                self._schedule(plan, tasks, dependents, executor, clock, records, journal)
         except BaseException:
             # Crash path (engine bug, KeyboardInterrupt, store failure):
             # persist everything that settled before re-raising, so the
@@ -343,7 +348,7 @@ class CampaignEngine:
             )
         return self.run(plan, context=context, resume_records=state.done_records())
 
-    # -- execution paths ----------------------------------------------------------
+    # -- scheduling -----------------------------------------------------------------
 
     @staticmethod
     def _dep_inputs(task: StageTask, records: dict) -> dict:
@@ -356,7 +361,8 @@ class CampaignEngine:
                 inputs[dep] = record["result"]
         return inputs
 
-    def _event(self, events: list, journal, name: str, **fields) -> dict:
+    @staticmethod
+    def _event(events: list, journal, name: str, **fields) -> dict:
         """One structured engine event: registry (when enabled), the
         manifest's event list, and the journal."""
         event = obs.record_event(name, **fields)
@@ -366,38 +372,6 @@ class CampaignEngine:
         if journal is not None:
             journal.event(event)
         return event
-
-    def _blas_threads(self, plan, workers: int, events: list, journal) -> dict:
-        """Decide each worker's BLAS thread count (recorded in the
-        manifest's ``observability`` block).
-
-        The serial path computes in this process and keeps its count
-        (``"inherited"``).  A pool gets :func:`repro.utils.blas.pool_threads`:
-        each worker's share of the cores (``"sized"``), unless the user
-        chose a count through a ``*_NUM_THREADS`` variable (``"env"``)
-        or numpy's BLAS exposes no thread control (``"unavailable"``,
-        plus one ``runtime.blas_threads_unavailable`` event).
-        """
-        if workers <= 1:
-            return {"per_worker": blas.get_threads(), "source": "inherited"}
-        per_worker, source = blas.pool_threads(workers)
-        if source == "unavailable":
-            self._event(
-                events, journal, "runtime.blas_threads_unavailable",
-                campaign_id=plan.campaign_id, workers=workers,
-            )
-        return {"per_worker": per_worker, "source": source}
-
-    @staticmethod
-    def _process_pool(workers: int, blas_threads: dict) -> ProcessPoolExecutor:
-        """The one pool constructor — the first pool and every respawn
-        size their workers' BLAS threads alike."""
-        sized = blas_threads["source"] == "sized"
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=blas.set_threads if sized else None,
-            initargs=(blas_threads["per_worker"],),
-        )
 
     def _payload(self, plan, task, store_root, attempt, inputs, heartbeat_dir=None) -> dict:
         payload = task.payload(store_root, plan.seed, attempt, inputs=inputs)
@@ -421,92 +395,26 @@ class CampaignEngine:
         timeout = float(timeout)
         return timeout if timeout > 0 else None
 
-    def _execute_with_retry(self, plan, task, store_root, experiment, inputs) -> dict:
-        record = None
-        history: list[dict] = []
-        for attempt in range(self.policy.retries + 1):
-            record = run_task(
-                self._payload(plan, task, store_root, attempt, inputs),
-                experiment=experiment,
-            )
-            record["attempts"] = attempt + 1
-            if record["status"] == "done":
-                break
-            error_class = self.policy.classify(record.get("error_type"))
-            record["error_class"] = error_class
-            history.append(
-                {
-                    "attempt": attempt,
-                    "error_class": error_class,
-                    "error_type": record.get("error_type"),
-                }
-            )
-            if not self.policy.should_retry(error_class, attempt + 1):
-                break
-            obs.metrics().counter("runtime.task_retries_total").inc()
-        if history:
-            record["failures"] = history
-        return record
-
-    def _run_serial(self, plan, tasks, store_root, context, clock, records, journal):
-        experiments: dict[str, object] = {}
-        for task in self._topological(tasks):
-            if task.id in records:
-                continue  # replayed from the journal
-            blocker = self._blocking_dep(task, records)
-            if blocker is not None:
-                record = _skip_record(task, blocker, time.perf_counter() - clock)
-                records[task.id] = record
-                if journal is not None:
-                    journal.task(record)
-                continue
-            spec_hash = task.spec.spec_hash
-            if spec_hash not in experiments:
-                from repro.api.experiment import Experiment
-
-                if context is not None:
-                    experiments[spec_hash] = Experiment(task.spec, context=context)
-                else:
-                    experiments[spec_hash] = Experiment(task.spec, store=self.store)
-            started_offset = time.perf_counter() - clock
-            record = self._execute_with_retry(
-                plan, task, store_root, experiments[spec_hash],
-                self._dep_inputs(task, records),
-            )
-            record["started_offset_s"] = started_offset
-            record["ended_offset_s"] = time.perf_counter() - clock
-            records[task.id] = record
-            if journal is not None:
-                journal.task(record)
-        return records
-
-    def _run_pool(
-        self, plan, tasks, store_root, workers, clock, records, journal, events, blas_threads
-    ):
-        attempts: dict[str, int] = {}
-        failures: dict[str, list] = {}
+    def _schedule(self, plan, tasks, dependents, executor, clock, records, journal):
+        """The scheduler loop: submit every ready task, then settle
+        what the executor hands back — retry a failed attempt the
+        policy allows, otherwise record it, journal it, and release
+        (or skip) its dependents."""
         by_id = {task.id: task for task in tasks}
         waiting = {
             task.id: {dep for dep in task.deps if dep not in records}
             for task in tasks
             if task.id not in records
         }
-        dependents: dict[str, list[str]] = {task.id: [] for task in tasks}
-        for task in tasks:
-            for dep in task.deps:
-                dependents[dep].append(task.id)
-
         ready = [task_id for task_id, deps in waiting.items() if not deps]
-        in_flight: dict = {}  # future -> task_id
-        deadlines: dict = {}  # future -> campaign-clock offset of the deadline
-        reaped: set[str] = set()  # task ids whose hung worker *we* killed
-        # Offsets observed on the engine's campaign clock (worker
-        # perf_counters are not comparable across processes): first
-        # submit → started, final settle → ended.
+        store_root = None if self.store is None else str(self.store.root)
+        attempts: dict[str, int] = {}
+        failures: dict[str, list] = {}
+        # Offsets on the engine's campaign clock (worker perf_counters
+        # are not comparable across processes): first submit → started,
+        # final settle → ended.
         submit_offsets: dict[str, float] = {}
-        heartbeat_dir = None
-        if self.store is not None:
-            heartbeat_dir = self.store.scratch_dir("heartbeats", plan.campaign_id)
+        outstanding = 0  # attempts submitted and not yet handed back
 
         def settle(task_id: str, record: dict) -> list[str]:
             """Record a final status; returns newly ready tasks."""
@@ -533,228 +441,39 @@ class CampaignEngine:
                     )
             return newly_ready
 
-        def record_failure(task_id: str, error_class: str, error_type: str | None):
-            failures.setdefault(task_id, []).append(
-                {
-                    "attempt": attempts[task_id] - 1,
-                    "error_class": error_class,
-                    "error_type": error_type,
-                }
-            )
-
-        def failed(task_id: str, record: dict) -> list[str]:
-            """A worker-reported error: classify, retry or settle."""
-            error_class = self.policy.classify(record.get("error_type"))
-            record["error_class"] = error_class
-            record_failure(task_id, error_class, record.get("error_type"))
-            if self.policy.should_retry(error_class, attempts[task_id]):
-                obs.metrics().counter("runtime.task_retries_total").inc()
-                return [task_id]
-            return settle(task_id, record)
-
-        def lost(task_id: str, error_class: str, detail: str) -> list[str]:
-            """An engine-detected loss (timeout reap / dead worker):
-            the attempt is spent; retry or settle a synthetic error."""
-            record_failure(task_id, error_class, None)
-            if self.policy.should_retry(error_class, attempts[task_id]):
-                obs.metrics().counter("runtime.task_retries_total").inc()
-                return [task_id]
-            now_offset = time.perf_counter() - clock
-            return settle(
-                task_id,
-                {
-                    "id": task_id,
-                    "stage": by_id[task_id].stage,
-                    "status": "error",
-                    "cache_hit": False,
-                    "error": detail,
-                    "error_type": error_class,
-                    "error_class": error_class,
-                    "attempts": attempts[task_id],
-                    "wall_time_s": now_offset - submit_offsets.get(task_id, now_offset),
-                },
-            )
-
-        def recover_pool(pool) -> tuple[ProcessPoolExecutor, list[str]]:
-            """The pool broke (worker SIGKILL/OOM, or our own reap):
-            charge every in-flight task its spent attempt, respawn the
-            pool, re-enqueue what the policy allows."""
-            newly_ready: list[str] = []
-            for future, task_id in list(in_flight.items()):
-                if task_id in reaped:
-                    error_class, detail = "timeout", (
-                        f"task exceeded its {self._task_timeout(by_id[task_id])}s "
-                        "wall-clock timeout; the hung worker was killed"
-                    )
-                else:
-                    error_class, detail = "worker-lost", (
-                        "worker process died mid-task (process pool broke); "
-                        "the pool was respawned"
-                    )
-                    self._event(
-                        events, journal, "runtime.worker_lost",
-                        campaign_id=plan.campaign_id, task_id=task_id,
-                        attempt=attempts[task_id] - 1,
-                    )
-                if heartbeat_dir is not None:
-                    with contextlib.suppress(OSError):
-                        heartbeat_path(heartbeat_dir, task_id).unlink()
-                newly_ready.extend(lost(task_id, error_class, detail))
-            in_flight.clear()
-            deadlines.clear()
-            reaped.clear()
-            obs.metrics().counter("runtime.workers_lost_total").inc()
-            pool.shutdown(wait=False, cancel_futures=True)
-            self._event(
-                events, journal, "runtime.pool_respawned",
-                campaign_id=plan.campaign_id, workers=workers,
-            )
-            return self._process_pool(workers, blas_threads), newly_ready
-
-        def reap_overdue() -> None:
-            """SIGKILL workers whose task blew its wall-clock budget.
-
-            A missing or stale heartbeat means the task is still queued
-            (or its worker just started), so its deadline re-arms
-            instead; killing is reserved for tasks *observed* running
-            past their budget.  The kill breaks the pool — the next
-            ``wait`` surfaces it and ``recover_pool`` settles everyone.
-            """
-            now_offset = time.perf_counter() - clock
-            for future, task_id in list(in_flight.items()):
-                deadline = deadlines.get(future)
-                if deadline is None or now_offset < deadline:
-                    continue
-                timeout_s = self._task_timeout(by_id[task_id])
-                beat = self._read_heartbeat(heartbeat_dir, task_id)
-                if beat is None or beat.get("attempt") != attempts[task_id] - 1:
-                    deadlines[future] = now_offset + timeout_s
-                    continue
-                elapsed = wall_time_unix() - float(beat.get("started_unix", 0.0))
-                if elapsed < timeout_s:
-                    deadlines[future] = now_offset + (timeout_s - elapsed)
-                    continue
-                reaped.add(task_id)
-                obs.metrics().counter("runtime.tasks_reaped_total").inc()
-                self._event(
-                    events, journal, "runtime.task_timeout",
-                    campaign_id=plan.campaign_id, task_id=task_id,
-                    attempt=attempts[task_id] - 1, timeout_s=timeout_s,
-                    pid=beat.get("pid"),
+        while ready or outstanding:
+            for task_id in ready:
+                task = by_id[task_id]
+                attempt = attempts.get(task_id, 0)
+                attempts[task_id] = attempt + 1
+                submit_offsets.setdefault(task_id, time.perf_counter() - clock)
+                executor.submit(
+                    task,
+                    self._payload(
+                        plan, task, store_root, attempt,
+                        self._dep_inputs(task, records), executor.heartbeat_dir,
+                    ),
                 )
-                pid = beat.get("pid")
-                if isinstance(pid, int) and pid > 0:
-                    with contextlib.suppress(OSError):
-                        os.kill(pid, signal.SIGKILL)
-
-        pool = self._process_pool(workers, blas_threads)
-        try:
-            while ready or in_flight:
-                for task_id in ready:
-                    if task_id in records:
+                outstanding += 1
+            ready = []
+            for task_id, record in executor.wait():
+                outstanding -= 1
+                record["attempts"] = attempts[task_id]
+                if record["status"] != "done":
+                    error_class = self.policy.classify(record.get("error_type"))
+                    record["error_class"] = error_class
+                    failures.setdefault(task_id, []).append(
+                        {
+                            "attempt": attempts[task_id] - 1,
+                            "error_class": error_class,
+                            "error_type": record.get("error_type"),
+                        }
+                    )
+                    if self.policy.should_retry(error_class, attempts[task_id]):
+                        obs.metrics().counter("runtime.task_retries_total").inc()
+                        ready.append(task_id)
                         continue
-                    attempt = attempts.get(task_id, 0)
-                    attempts[task_id] = attempt + 1
-                    task = by_id[task_id]
-                    submit_offsets.setdefault(task_id, time.perf_counter() - clock)
-                    future = pool.submit(
-                        run_task,
-                        self._payload(
-                            plan, task, store_root, attempt,
-                            self._dep_inputs(task, records), heartbeat_dir,
-                        ),
-                    )
-                    in_flight[future] = task_id
-                    timeout_s = self._task_timeout(task)
-                    # Reaping needs a heartbeat (to find the pid and to
-                    # tell hung from queued), so timeouts are enforced
-                    # only when the store provides a scratch area.
-                    if timeout_s is not None and heartbeat_dir is not None:
-                        deadlines[future] = time.perf_counter() - clock + timeout_s
-                ready = []
-                if not in_flight:
-                    continue
-                done, _pending = wait(
-                    in_flight,
-                    timeout=self._wait_timeout(deadlines, clock),
-                    return_when=FIRST_COMPLETED,
-                )
-                broken = False
-                for future in done:
-                    task_id = in_flight.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        record = future.result()
-                    except BrokenProcessPool:
-                        # Put it back: recover_pool settles *all*
-                        # in-flight tasks of the broken pool at once.
-                        in_flight[future] = task_id
-                        broken = True
-                        break
-                    record["attempts"] = attempts[task_id]
-                    if record["status"] == "done":
-                        ready.extend(settle(task_id, record))
-                    else:
-                        ready.extend(failed(task_id, record))
-                if broken:
-                    pool, newly_ready = recover_pool(pool)
-                    ready.extend(newly_ready)
-                elif not done:
-                    reap_overdue()
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-            if heartbeat_dir is not None:
-                shutil.rmtree(heartbeat_dir, ignore_errors=True)
-        return records
-
-    @staticmethod
-    def _wait_timeout(deadlines: dict, clock: float) -> float | None:
-        """How long the next ``wait`` may block: until the earliest
-        in-flight deadline (None → until something completes)."""
-        if not deadlines:
-            return None
-        now_offset = time.perf_counter() - clock
-        return max(0.05, min(deadlines.values()) - now_offset)
-
-    @staticmethod
-    def _read_heartbeat(heartbeat_dir, task_id: str) -> dict | None:
-        if heartbeat_dir is None:
-            return None
-        try:
-            with open(heartbeat_path(heartbeat_dir, task_id), "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, json.JSONDecodeError, ValueError):
-            return None
-
-    @staticmethod
-    def _topological(tasks: list[StageTask]) -> list[StageTask]:
-        """Dependency-respecting order (plan order is already close)."""
-        placed: set[str] = set()
-        remaining = list(tasks)
-        ordered = []
-        while remaining:
-            progressed = False
-            deferred = []
-            for task in remaining:
-                if all(dep in placed for dep in task.deps):
-                    ordered.append(task)
-                    placed.add(task.id)
-                    progressed = True
-                else:
-                    deferred.append(task)
-            if not progressed:
-                cycle = ", ".join(task.id for task in deferred)
-                raise ValueError(f"dependency cycle in campaign plan: {cycle}")
-            remaining = deferred
-        return ordered
-
-    @staticmethod
-    def _blocking_dep(task: StageTask, records: dict) -> str | None:
-        for dep in task.deps:
-            record = records.get(dep)
-            if record is not None and record["status"] != "done":
-                return dep
-        return None
+                ready.extend(settle(task_id, record))
 
     # -- manifest -----------------------------------------------------------------
 
@@ -849,7 +568,8 @@ class CampaignEngine:
     ) -> dict:
         """The manifest's telemetry block: one campaign root span over
         every task's span tree, the merged worker metrics, and the BLAS
-        thread count the tasks computed with (see :meth:`_blas_threads`).
+        thread count the tasks computed with (the executor's
+        ``blas_threads``).
 
         Task records carry ``spans``/``metrics`` produced inside
         whichever process executed them (:func:`~repro.runtime.worker.run_task`);
@@ -924,6 +644,241 @@ def _pending_record(task: StageTask) -> dict:
         "started_offset_s": 0.0,
         "ended_offset_s": 0.0,
     }
+
+
+def _dependents(tasks: list[StageTask]) -> dict[str, list[str]]:
+    """Each task's direct dependents, after checking the graph can run.
+
+    A dependency on a task outside the plan, or a cycle, raises
+    ``ValueError`` before anything is journaled or executed.
+    """
+    dependents: dict[str, list[str]] = {task.id: [] for task in tasks}
+    for task in tasks:
+        for dep in task.deps:
+            if dep not in dependents:
+                raise ValueError(f"task {task.id} depends on unknown task {dep!r}")
+            dependents[dep].append(task.id)
+    unmet = {task.id: len(task.deps) for task in tasks}
+    ordered = [task_id for task_id, count in unmet.items() if not count]
+    for task_id in ordered:  # grows while iterated: Kahn's algorithm
+        for child in dependents[task_id]:
+            unmet[child] -= 1
+            if not unmet[child]:
+                ordered.append(child)
+    if len(ordered) < len(tasks):
+        cycle = ", ".join(task_id for task_id, count in unmet.items() if count)
+        raise ValueError(f"dependency cycle in campaign plan: {cycle}")
+    return dependents
+
+
+class _Executor:
+    """Where the scheduler's task attempts run.
+
+    ``submit(task, payload)`` hands over one attempt; ``wait()`` blocks
+    until at least one attempt settles and returns ``(task_id, record)``
+    pairs.  Every submitted attempt comes back from ``wait`` exactly
+    once, as a :func:`~repro.runtime.worker.run_task` record.
+    ``heartbeat_dir`` (``None`` arms no deadlines) rides in every
+    payload; ``blas_threads`` is recorded in the manifest.
+    """
+
+    heartbeat_dir: Path | None = None
+    blas_threads: dict
+
+    def __enter__(self) -> "_Executor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+
+class _InProcessExecutor(_Executor):
+    """Runs attempts in this process, oldest first, one per ``wait`` —
+    so each task is settled and journaled before the next one starts.
+
+    Tasks of one spec share an :class:`~repro.api.experiment.Experiment`
+    (built on the caller's ``context`` when one is given), and compute
+    with this process's own BLAS thread count.
+    """
+
+    def __init__(self, store, context):
+        self._store = store
+        self._context = context
+        self._experiments: dict[str, Experiment] = {}
+        self._queue: collections.deque = collections.deque()
+        self.blas_threads = {"per_worker": blas.get_threads(), "source": "inherited"}
+
+    def submit(self, task: StageTask, payload: dict) -> None:
+        self._queue.append((task.spec, payload))
+
+    def wait(self) -> list[tuple[str, dict]]:
+        spec, payload = self._queue.popleft()
+        experiment = self._experiments.get(spec.spec_hash)
+        if experiment is None:
+            if self._context is not None:
+                experiment = Experiment(spec, context=self._context)
+            else:
+                experiment = Experiment(spec, store=self._store)
+            self._experiments[spec.spec_hash] = experiment
+        return [(payload["id"], run_task(payload, experiment=experiment))]
+
+
+class _PoolExecutor(_Executor):
+    """Runs attempts on a ``ProcessPoolExecutor`` and keeps it healthy.
+
+    Workers size their BLAS threads to their share of the cores
+    (:func:`repro.utils.blas.pool_threads`).  With a store, workers
+    beat heartbeat files under its scratch area and a task observed
+    running past its wall-clock budget has its worker SIGKILLed.  A
+    broken pool — that kill, or a worker lost to SIGKILL/OOM — hands
+    back every in-flight attempt as a ``timeout`` / ``worker-lost``
+    error record and is respawned.
+    """
+
+    def __init__(self, workers: int, store, campaign_id: str, emit, timeout_of):
+        self._workers = workers
+        self._store = store
+        self._campaign_id = campaign_id
+        self._emit = emit
+        self._timeout_of = timeout_of
+        per_worker, source = blas.pool_threads(workers)
+        if source == "unavailable":
+            emit("runtime.blas_threads_unavailable", workers=workers)
+        self.blas_threads = {"per_worker": per_worker, "source": source}
+        self._pool: ProcessPoolExecutor | None = None
+        # future -> (task, attempt, timeout_s, submitted perf_counter)
+        self._in_flight: dict = {}
+        self._deadlines: dict = {}  # future -> perf_counter deadline
+        self._reaped: set[str] = set()  # task ids whose hung worker *we* killed
+
+    def __enter__(self) -> "_PoolExecutor":
+        if self._store is not None:
+            self.heartbeat_dir = self._store.scratch_dir("heartbeats", self._campaign_id)
+        self._pool = self._process_pool()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        if self.heartbeat_dir is not None:
+            shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
+
+    def _process_pool(self) -> ProcessPoolExecutor:
+        """The one pool constructor — the first pool and every respawn
+        size their workers' BLAS threads alike."""
+        sized = self.blas_threads["source"] == "sized"
+        return ProcessPoolExecutor(
+            max_workers=self._workers,
+            initializer=blas.set_threads if sized else None,
+            initargs=(self.blas_threads["per_worker"],),
+        )
+
+    def submit(self, task: StageTask, payload: dict) -> None:
+        future = self._pool.submit(run_task, payload)
+        timeout_s = self._timeout_of(task)
+        self._in_flight[future] = (task, payload["attempt"], timeout_s, time.perf_counter())
+        # Reaping needs a heartbeat (to find the pid and to tell hung
+        # from queued), so timeouts are enforced only when the store
+        # provides a scratch area.
+        if timeout_s is not None and self.heartbeat_dir is not None:
+            self._deadlines[future] = time.perf_counter() + timeout_s
+
+    def wait(self) -> list[tuple[str, dict]]:
+        timeout = None
+        if self._deadlines:
+            # Block at most until the earliest in-flight deadline.
+            timeout = max(0.05, min(self._deadlines.values()) - time.perf_counter())
+        done, _pending = wait(self._in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
+        settled = []
+        for future in done:
+            try:
+                record = future.result()
+            except BrokenProcessPool:
+                # The rest of the broken pool's attempts come back lost.
+                return settled + self._respawn()
+            task = self._in_flight.pop(future)[0]
+            self._deadlines.pop(future, None)
+            settled.append((task.id, record))
+        if not done:
+            self._reap_overdue()
+        return settled
+
+    def _respawn(self) -> list[tuple[str, dict]]:
+        """The pool broke (worker SIGKILL/OOM, or our own reap): hand
+        back every in-flight attempt as lost, then start a fresh pool."""
+        lost = []
+        for task, attempt, timeout_s, submitted in self._in_flight.values():
+            if task.id in self._reaped:
+                error_class, detail = "timeout", (
+                    f"task exceeded its {timeout_s}s wall-clock timeout; "
+                    "the hung worker was killed"
+                )
+            else:
+                error_class, detail = "worker-lost", (
+                    "worker process died mid-task (process pool broke); "
+                    "the pool was respawned"
+                )
+                self._emit("runtime.worker_lost", task_id=task.id, attempt=attempt)
+            if self.heartbeat_dir is not None:
+                with contextlib.suppress(OSError):
+                    heartbeat_path(self.heartbeat_dir, task.id).unlink()
+            record = {
+                "id": task.id,
+                "stage": task.stage,
+                "status": "error",
+                "cache_hit": False,
+                "error": detail,
+                "error_type": error_class,
+                "wall_time_s": time.perf_counter() - submitted,
+            }
+            lost.append((task.id, record))
+        self._in_flight.clear()
+        self._deadlines.clear()
+        self._reaped.clear()
+        obs.metrics().counter("runtime.workers_lost_total").inc()
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._emit("runtime.pool_respawned", workers=self._workers)
+        self._pool = self._process_pool()
+        return lost
+
+    def _reap_overdue(self) -> None:
+        """SIGKILL workers whose task blew its wall-clock budget.
+
+        A missing or stale heartbeat means the task is still queued (or
+        its worker just started), so its deadline re-arms instead;
+        killing is reserved for tasks *observed* running past their
+        budget.  The kill breaks the pool — the next ``wait`` surfaces
+        it and :meth:`_respawn` hands every in-flight attempt back.
+        """
+        now = time.perf_counter()
+        for future, (task, attempt, timeout_s, _submitted) in self._in_flight.items():
+            deadline = self._deadlines.get(future)
+            if deadline is None or now < deadline:
+                continue
+            beat = self._read_heartbeat(task.id)
+            if beat is None or beat.get("attempt") != attempt:
+                self._deadlines[future] = now + timeout_s
+                continue
+            elapsed = wall_time_unix() - float(beat.get("started_unix", 0.0))
+            if elapsed < timeout_s:
+                self._deadlines[future] = now + (timeout_s - elapsed)
+                continue
+            self._reaped.add(task.id)
+            obs.metrics().counter("runtime.tasks_reaped_total").inc()
+            pid = beat.get("pid")
+            self._emit(
+                "runtime.task_timeout",
+                task_id=task.id, attempt=attempt, timeout_s=timeout_s, pid=pid,
+            )
+            if isinstance(pid, int) and pid > 0:
+                with contextlib.suppress(OSError):
+                    os.kill(pid, signal.SIGKILL)
+
+    def _read_heartbeat(self, task_id: str) -> dict | None:
+        try:
+            with open(heartbeat_path(self.heartbeat_dir, task_id), "r", encoding="utf-8") as handle:
+                return json.load(handle)
+        except (OSError, json.JSONDecodeError, ValueError):
+            return None
 
 
 def run_campaign(

@@ -1,11 +1,11 @@
-"""Stage execution: one code path for serial runs, worker pools and tables.
+"""Stage execution: one code path for both campaign executors and tables.
 
-Each campaign task is executed by :func:`run_task`, either in-process
-(the engine's serial path hands in a shared
-:class:`~repro.api.experiment.Experiment`) or inside a
-``ProcessPoolExecutor`` worker, where the module-level function is
-imported by reference and rebuilds the experiment from the task's JSON
-payload.  Dispatch goes through the
+Each campaign task attempt is executed by :func:`run_task`, whichever
+executor the engine's scheduler loop hands it to: the in-process
+executor passes in the :class:`~repro.api.experiment.Experiment` it
+keeps per spec, while in a ``ProcessPoolExecutor`` worker the
+module-level function is imported by reference and rebuilds the
+experiment from the task's JSON payload.  Dispatch goes through the
 :data:`~repro.api.stages.STAGE_REGISTRY` — built-in, extension and
 user-registered stages all execute the same way.  Heavy artifacts never
 cross the process boundary — they flow through the content-addressed

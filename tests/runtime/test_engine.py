@@ -8,11 +8,20 @@ import pytest
 import repro.obs as obs
 from repro.api import ArtifactStore, ExperimentSpec, TrainSettings
 from repro.api.stages import STAGE_REGISTRY
-from repro.runtime import CampaignEngine, expand_grid, plan_campaign, run_campaign
+from repro.runtime import (
+    CampaignEngine,
+    CampaignPlan,
+    expand_grid,
+    plan_campaign,
+    run_campaign,
+)
 from repro.testing import FAULT_SPEC_ENV
 from repro.utils import blas
 
 FAST = TrainSettings(epochs=1, batch_size=32, patience=None)
+
+#: Run a test on the in-process executor and on a 2-worker pool.
+BOTH_EXECUTORS = pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
 
 
 def fast_specs(scenarios=("pretrain",), seeds=(0,)):
@@ -118,6 +127,39 @@ class TestFailureHandling:
         assert all("skipped_because" in row for row in skipped)
         assert not result.ok
 
+    def test_failure_manifest_same_on_both_executors(self, monkeypatch, tmp_path):
+        """A fatal mid-graph failure settles, skips and journals the same
+        task rows whichever executor runs the plan."""
+
+        def broken(experiment, inputs, params):
+            raise ValueError("pretrain contract violated")
+
+        monkeypatch.setattr(STAGE_REGISTRY.get("pretrain"), "run", broken)
+        fields = ("id", "status", "attempts", "failures", "error_class", "skipped_because")
+        rows = {}
+        for workers in (1, 2):
+            store = ArtifactStore(tmp_path / f"workers{workers}")
+            plan = plan_campaign(fast_specs(seeds=(0, 1)))
+            result = CampaignEngine(store=store, workers=workers, retries=1).run(plan)
+            assert result.manifest["workers"] == workers
+            rows[workers] = [
+                {name: row.get(name) for name in fields} for row in result.manifest["tasks"]
+            ]
+        assert rows[1] == rows[2]
+        by_stage = {}
+        for row in rows[1]:
+            by_stage.setdefault(row["id"].split(":")[0], []).append(row)
+        assert [row["status"] for row in by_stage["bundle"]] == ["done", "done"]
+        for row in by_stage["pretrain"]:
+            assert (row["status"], row["attempts"], row["error_class"]) == ("error", 1, "fatal")
+            assert row["failures"] == [
+                {"attempt": 0, "error_class": "fatal", "error_type": "ValueError"}
+            ]
+        pretrain_ids = {row["id"] for row in by_stage["pretrain"]}
+        for row in by_stage["evaluate"]:
+            assert row["status"] == "skipped"
+            assert row["skipped_because"] in pretrain_ids
+
     def test_failed_table_campaign_raises(self, monkeypatch, store):
         from repro.core.pipeline import ExperimentContext, get_scale, run_table2
 
@@ -128,6 +170,39 @@ class TestFailureHandling:
         context = ExperimentContext(get_scale("smoke"), store=store)
         with pytest.raises(RuntimeError, match="campaign failed"):
             run_table2(get_scale("smoke"), context)
+
+
+class TestGraphValidation:
+    """Plans that cannot run are rejected before anything is written."""
+
+    @staticmethod
+    def hand_built(deps_of: dict) -> CampaignPlan:
+        spec = fast_specs()[0]
+        plan = CampaignPlan([spec])
+        for name, deps in deps_of.items():
+            plan.add("trace_stats", spec, key=name, deps=deps)
+        return plan.finalise()
+
+    @BOTH_EXECUTORS
+    @pytest.mark.parametrize(
+        "deps_of, message",
+        [
+            (
+                {"a" * 12: ("trace_stats:" + "b" * 12,), "b" * 12: ("trace_stats:" + "a" * 12,)},
+                "dependency cycle",
+            ),
+            ({"a" * 12: ("traces:missing",), "b" * 12: ()}, "unknown task"),
+        ],
+        ids=["cycle", "unknown-dep"],
+    )
+    def test_rejected_before_journal(self, store, workers, deps_of, message):
+        plan = self.hand_built(deps_of)
+        engine = CampaignEngine(store=store, workers=workers)
+        assert engine.effective_workers(plan.ordered()) == workers
+        with pytest.raises(ValueError, match=message):
+            engine.run(plan)
+        assert not store.journal_path(plan.campaign_id).exists()
+        assert store.get_manifest(plan.campaign_id) is None
 
 
 class TestEngineConfiguration:

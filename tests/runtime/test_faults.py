@@ -6,6 +6,7 @@ so these tests exercise the *real* recovery paths: transient errors
 retried on fresh attempts, hung workers reaped at their wall-clock
 timeout, killed workers recovered through a pool respawn, and a
 SIGKILLed engine resumed from its journal with bit-identical results.
+Faults that are safe in-process run against both executors.
 """
 
 import json
@@ -37,6 +38,9 @@ from repro.testing import (
 FAST = TrainSettings(epochs=1, batch_size=32, patience=None)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Run a test on the in-process executor and on a 2-worker pool.
+BOTH_EXECUTORS = pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
 
 
 def fast_specs(scenarios=("pretrain",), seeds=(0,), **common):
@@ -210,43 +214,58 @@ class TestJournal:
         assert state.done_records() == whole.done_records()
 
 
-class TestChaosPool:
-    """Injected faults against a real 2-worker pool."""
+def _interrupt(payload, experiment=None):
+    """A ``run_task`` stand-in that interrupts the campaign (module-level,
+    so a pool worker can unpickle it)."""
+    raise KeyboardInterrupt
 
-    def test_transient_fault_retried_to_success(self, store, monkeypatch):
+
+class TestChaosPool:
+    """Injected faults against both executors; worker kills and hangs
+    against a real 2-worker pool."""
+
+    @BOTH_EXECUTORS
+    def test_transient_fault_retried_to_success(self, store, monkeypatch, workers):
         monkeypatch.setenv(FAULT_SPEC_ENV, "trace_stats@0:raise")
-        engine = CampaignEngine(store=store, workers=2, retries=1)
+        engine = CampaignEngine(store=store, workers=workers, retries=1)
         result = engine.run(plan_campaign(fast_specs(seeds=(0, 1)), stages=("trace_stats",)))
         assert result.ok
+        assert result.manifest["workers"] == workers
         for row in result.manifest["tasks"]:
             assert row["attempts"] == 2
             assert row["failures"] == [
                 {"attempt": 0, "error_class": "transient", "error_type": "FaultInjected"}
             ]
 
-    def test_exhausted_retries_settle_as_error(self, store, monkeypatch):
+    @BOTH_EXECUTORS
+    def test_exhausted_retries_settle_as_error(self, store, monkeypatch, workers):
         monkeypatch.setenv(FAULT_SPEC_ENV, "trace_stats:raise")  # every attempt
-        engine = CampaignEngine(store=store, workers=2, retries=1)
+        engine = CampaignEngine(store=store, workers=workers, retries=1)
         result = engine.run(plan_campaign(fast_specs(seeds=(0, 1)), stages=("trace_stats",)))
         assert not result.ok
+        assert result.manifest["workers"] == workers
         for row in result.manifest["tasks"]:
             assert row["status"] == "error"
             assert row["attempts"] == 2
             assert row["error_class"] == "transient"
 
-    def test_fatal_error_not_retried(self, monkeypatch):
+    @BOTH_EXECUTORS
+    def test_fatal_error_not_retried(self, store, monkeypatch, workers):
         from repro.api.stages import STAGE_REGISTRY
 
         def broken(experiment, inputs, params):
             raise ValueError("contract violation: fails identically every attempt")
 
         monkeypatch.setattr(STAGE_REGISTRY.get("trace_stats"), "run", broken)
-        result = run_campaign(fast_specs(), stages=("trace_stats",), store=None, retries=3)
+        engine = CampaignEngine(store=store, workers=workers, retries=3)
+        result = engine.run(plan_campaign(fast_specs(seeds=(0, 1)), stages=("trace_stats",)))
         assert not result.ok
-        (row,) = result.manifest["tasks"]
-        assert row["attempts"] == 1  # fatal: the retry budget is not spent
-        assert row["error_class"] == "fatal"
+        assert result.manifest["workers"] == workers
+        for row in result.manifest["tasks"]:
+            assert row["attempts"] == 1  # fatal: the retry budget is not spent
+            assert row["error_class"] == "fatal"
 
+    # Pool only: an in-process stage can be neither killed nor survived.
     def test_killed_worker_recovered_by_pool_respawn(self, store, monkeypatch):
         monkeypatch.setenv(FAULT_SPEC_ENV, "trace_stats@0:exit")
         engine = CampaignEngine(store=store, workers=2, retries=1)
@@ -259,6 +278,7 @@ class TestChaosPool:
             assert row["status"] == "done"
             assert any(f["error_class"] == "worker-lost" for f in row["failures"])
 
+    # Pool only: an in-process stage can be neither killed nor survived.
     def test_hung_task_reaped_and_retried(self, store, monkeypatch):
         monkeypatch.setenv(FAULT_SPEC_ENV, "trace_stats@0:hang:60")
         engine = CampaignEngine(
@@ -351,9 +371,12 @@ class TestCrashAndResume:
             if task_id.startswith("evaluate:"):
                 assert result.results[task_id] == payload
 
-    def test_resume_of_completed_campaign_replays_everything(self, store):
-        first = run_campaign(fast_specs(), store=store)
-        result = CampaignEngine(store=store).resume(first.manifest["campaign_id"])
+    @BOTH_EXECUTORS
+    def test_resume_of_completed_campaign_replays_everything(self, store, workers):
+        first = run_campaign(fast_specs(), store=store, workers=workers)
+        assert first.manifest["workers"] == workers
+        engine = CampaignEngine(store=store, workers=workers)
+        result = engine.resume(first.manifest["campaign_id"])
         assert result.ok
         assert result.summary["executed"] == 0
         assert len(result.manifest["resumed_tasks"]) == first.summary["total"]
@@ -367,19 +390,51 @@ class TestCrashAndResume:
         with pytest.raises(ValueError, match="store"):
             CampaignEngine(store=None).resume("deadbeef")
 
-    def test_engine_crash_writes_crashed_manifest(self, store, monkeypatch):
-        def boom(payload, experiment=None):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr("repro.runtime.engine.run_task", boom)
+    @BOTH_EXECUTORS
+    def test_engine_crash_writes_crashed_manifest(self, store, monkeypatch, workers):
+        # Both executors call the engine module's run_task: in-process
+        # directly, the pool by pickled reference (the worker sends the
+        # interrupt back through the future).
+        monkeypatch.setattr("repro.runtime.engine.run_task", _interrupt)
         plan = plan_campaign(fast_specs())
         with pytest.raises(KeyboardInterrupt):
-            CampaignEngine(store=store).run(plan)
+            CampaignEngine(store=store, workers=workers).run(plan)
         manifest = store.get_manifest(plan.campaign_id)
         assert manifest["status"] == "crashed"
+        assert manifest["workers"] == workers
         assert manifest["summary"]["pending"] == len(plan)
         state = read_journal(store.journal_path(plan.campaign_id))
         assert state.completed["status"] == "crashed"
+
+    def test_in_process_crash_keeps_settled_tasks(self, store, monkeypatch):
+        """The in-process executor runs one task per ``wait``, so tasks
+        settled before a crash are journaled and replayed on resume —
+        even when they were all ready (and submitted) at once."""
+        from repro.runtime import worker
+
+        executed = []
+
+        def third_interrupts(payload, experiment=None):
+            executed.append(payload["id"])
+            if len(executed) == 3:
+                raise KeyboardInterrupt
+            return worker.run_task(payload, experiment=experiment)
+
+        monkeypatch.setattr("repro.runtime.engine.run_task", third_interrupts)
+        plan = plan_campaign(fast_specs(seeds=(0, 1, 2, 3)), stages=("trace_stats",))
+        assert all(not task.deps for task in plan.ordered())  # all ready at once
+        with pytest.raises(KeyboardInterrupt):
+            CampaignEngine(store=store, workers=1).run(plan)
+        settled = executed[:2]
+        state = read_journal(store.journal_path(plan.campaign_id))
+        assert sorted(state.done_records()) == sorted(settled)
+
+        executed.clear()
+        result = CampaignEngine(store=store, workers=1).resume(plan.campaign_id)
+        assert result.ok
+        assert sorted(result.manifest["resumed_tasks"]) == sorted(settled)
+        assert result.summary["executed"] == 2
+        assert sorted(executed) == sorted(set(plan.tasks) - set(settled))
 
 
 class TestResumeCLI:
