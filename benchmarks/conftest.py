@@ -52,7 +52,7 @@ def context(experiment):
 
 
 def save_results(name: str, payload: dict) -> Path:
-    """Persist one benchmark's result rows as JSON for EXPERIMENTS.md.
+    """Persist one benchmark's result rows as JSON under ``bench_results/``.
 
     Every payload is stamped with the session scale so artifacts are
     self-describing.  Smoke-scale runs (the tier-1 default) land in the

@@ -280,25 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to specific rules (repeatable or comma-separated)",
     )
     lint.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline file (default: nearest lint-baseline.json above the lint root)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    lint.add_argument(
-        "--baseline-update", action="store_true",
-        help="rewrite the baseline from this run (adds new, expires fixed)",
-    )
-    lint.add_argument(
         "--list-rules", action="store_true",
         help="list registered rules and exit",
-    )
-    lint.add_argument(
-        "--changed", action="store_true",
-        help="lint only files differing from the git merge base "
-        "(fingerprints still check the whole tree)",
     )
     lint.add_argument(
         "--fingerprints", action="store_true",
@@ -804,11 +787,7 @@ def _lint_fingerprints(args: argparse.Namespace) -> int:
         print(f"fingerprints written: {pin_path} ({len(current)} stages)")
         return 0
 
-    report = LintReport(
-        roots=[str(p) for p in paths],
-        findings=findings,
-        baseline_path=None,
-    )
+    report = LintReport(roots=[str(p) for p in paths], findings=findings)
     if args.format == "json":
         payload = report.to_dict()
         payload["fingerprints"] = str(pin_path) if pin_path else None
@@ -848,10 +827,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         report = run_lint(
             [Path(p) for p in args.paths] or None,
             rule_names=rule_names,
-            baseline_path=Path(args.baseline) if args.baseline else None,
-            use_baseline=not args.no_baseline,
-            update_baseline=args.baseline_update,
-            changed_only=args.changed,
         )
     except (FileNotFoundError, ValueError) as error:
         raise CLIError(str(error)) from None
@@ -860,8 +835,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(json_module.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.format_text())
-        if args.baseline_update and report.baseline_path:
-            print(f"baseline written: {report.baseline_path}")
     return report.exit_code
 
 

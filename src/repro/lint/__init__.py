@@ -3,10 +3,14 @@
 The correctness story of this codebase rests on conventions that tests
 can only probe dynamically: SeedSequence-only randomness, cache-key
 purity of registered stages, allocation-free fused kernels, non-blocking
-serving coroutines, lock-guarded cross-thread state.  This package
-encodes them as AST rules over the source tree, with a pluggable rule
-registry (mirroring the scenario/stage registries), justified inline
-suppressions, and a committed baseline for grandfathered findings.
+serving coroutines, lock-guarded cross-thread state, and stage code
+that never changes behind its cache keys.  This package encodes them
+as AST rules over the source tree, with a pluggable rule registry
+(mirroring the scenario/stage registries) and justified inline
+suppressions — ``# repro: allow(<rule>): <why>`` is the one way to
+excuse a finding.  Interprocedural key purity is left to the dynamic
+guard (``tests/runtime/test_stages.py::TestKeyDerivation``), which plans
+every stage in two differently-configured processes and diffs the keys.
 
 Entry points::
 
@@ -16,19 +20,11 @@ Entry points::
 Importing this package registers the built-in rules.
 """
 
-from .baseline import (
-    BASELINE_FILENAME,
-    apply_baseline,
-    discover_baseline,
-    load_baseline,
-    save_baseline,
-)
 from .callgraph import ProgramIndex, program_index_for_root
 from .context import SourceModule, load_module
 from .engine import (
     REPORT_VERSION,
     LintReport,
-    changed_files,
     collect_files,
     default_root,
     run_lint,
@@ -45,10 +41,8 @@ from .findings import SEVERITIES, Finding
 from .rules import LINT_RULES, LintRule, LintRuleRegistry, register_rule
 
 from . import checks  # noqa: F401  (registers the built-in rules)
-from . import taint  # noqa: F401  (registers key-taint)
 
 __all__ = [
-    "BASELINE_FILENAME",
     "FINGERPRINT_FILENAME",
     "Finding",
     "LINT_RULES",
@@ -59,15 +53,11 @@ __all__ = [
     "REPORT_VERSION",
     "SEVERITIES",
     "SourceModule",
-    "apply_baseline",
-    "changed_files",
     "check_fingerprints",
     "collect_files",
     "compute_fingerprints",
     "default_root",
-    "discover_baseline",
     "discover_fingerprints",
-    "load_baseline",
     "load_fingerprints",
     "load_module",
     "program_index_for_root",

@@ -1,9 +1,8 @@
-"""Whole-program view for interprocedural lint rules.
+"""Whole-program view for the stage-fingerprint rule.
 
-Per-file AST rules (``repro.lint.checks``) cannot see that a wall-clock
-read two call hops away from ``stable_hash`` still poisons a cache key,
-or that a registered stage's behaviour changed through a helper it
-calls.  This module builds the shared layer those analyses stand on:
+Per-file AST rules (``repro.lint.checks``) cannot see that a registered
+stage's behaviour changed through a helper it calls.  This module
+builds the layer :mod:`.fingerprint` stands on:
 
 * module-level **name binding** — imports (absolute and relative,
   aliased or not), ``def``/``class`` statements and simple ``g = f``
@@ -12,8 +11,7 @@ calls.  This module builds the shared layer those analyses stand on:
   resolved (where syntactically possible) to the fully-qualified
   function it targets, including ``self.method()`` dispatch and
   re-exports followed through ``__init__`` bindings;
-* **transitive closures** over those edges, for callee-set fingerprints
-  and source→sink chains.
+* **transitive closures** over those edges, for callee-set fingerprints.
 
 Resolution is name-based and conservative: calls through instances,
 dynamic dispatch, or external libraries resolve to ``None`` and simply
@@ -40,6 +38,7 @@ __all__ = [
     "ProgramIndex",
     "attr_chain",
     "module_name_for",
+    "own_nodes",
     "program_index_for_root",
 ]
 
@@ -58,6 +57,19 @@ def attr_chain(node: ast.AST) -> Optional[List[str]]:
         parts.append(node.id)
         return parts[::-1]
     return None
+
+
+def own_nodes(root: ast.AST) -> Iterable[ast.AST]:
+    """Every node in ``root``'s own body, not descending into nested
+    function/class definitions (each is visited separately)."""
+    stack: List[ast.AST] = list(ast.iter_child_nodes(root))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def module_name_for(scope_path: str) -> str:
@@ -80,7 +92,6 @@ class CallSite:
     callee: Optional[str]  # resolved qname ("repro.api.hashing:stable_hash")
     line: int
     col: int
-    implicit_self: bool  # True for self.m(...) → positional args shift by one
 
 
 @dataclass
@@ -93,12 +104,7 @@ class FunctionInfo:
     scope_path: str
     node: ast.AST  # FunctionDef/AsyncFunctionDef, or Module for MODULE_BODY
     class_name: Optional[str] = None
-    params: Tuple[str, ...] = ()
     calls: List[CallSite] = field(default_factory=list)
-
-    @property
-    def display(self) -> str:
-        return self.local
 
 
 @dataclass
@@ -112,19 +118,6 @@ class ModuleInfo:
     is_package: bool
     bindings: Dict[str, str] = field(default_factory=dict)  # local → dotted target
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)  # local qual → info
-
-
-def _own_statements(root: ast.AST) -> Iterable[ast.stmt]:
-    """Statements belonging to ``root``'s own body, not to nested
-    function definitions (classes are transparent: their bodies execute
-    at module level)."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.stmt):
-            yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
 
 
 def _collect_bindings(module: ModuleInfo) -> None:
@@ -166,15 +159,6 @@ def _collect_bindings(module: ModuleInfo) -> None:
                         module.bindings[tgt.id] = target
 
 
-def _param_names(node: ast.AST) -> Tuple[str, ...]:
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return ()
-    args = node.args
-    return tuple(
-        a.arg for a in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-    )
-
-
 def _collect_functions(module: ModuleInfo) -> None:
     """Register every function with a qualname path; classes contribute a
     path segment, nested defs contribute their parent function's name."""
@@ -190,7 +174,6 @@ def _collect_functions(module: ModuleInfo) -> None:
                     scope_path=module.scope_path,
                     node=child,
                     class_name=class_name,
-                    params=_param_names(child),
                 )
                 visit(child, prefix + [child.name], class_name)
             elif isinstance(child, ast.ClassDef):
@@ -205,8 +188,6 @@ def _collect_functions(module: ModuleInfo) -> None:
         local=MODULE_BODY,
         scope_path=module.scope_path,
         node=module.tree,
-        class_name=None,
-        params=(),
     )
 
 
@@ -216,8 +197,7 @@ class ProgramIndex:
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
-        # Analysis caches, populated lazily by taint/fingerprint layers.
-        self.taint_cache: Optional[dict] = None
+        # Populated lazily by the fingerprint layer.
         self.fingerprint_cache: Optional[dict] = None
 
     # -- construction -------------------------------------------------------
@@ -258,20 +238,18 @@ class ProgramIndex:
         return index
 
     def _resolve_calls(self, module: ModuleInfo, info: FunctionInfo) -> None:
-        for node in _own_statements_and_exprs(info.node):
+        for node in own_nodes(info.node):
             if not isinstance(node, ast.Call):
                 continue
             chain = attr_chain(node.func)
             if chain is None:
                 continue
-            callee, implicit_self = self._resolve_chain(module, info, chain)
             info.calls.append(
                 CallSite(
                     raw=".".join(chain),
-                    callee=callee,
+                    callee=self._resolve_chain(module, info, chain),
                     line=node.lineno,
                     col=node.col_offset,
-                    implicit_self=implicit_self,
                 )
             )
 
@@ -279,7 +257,7 @@ class ProgramIndex:
 
     def _resolve_chain(
         self, module: ModuleInfo, info: FunctionInfo, chain: List[str]
-    ) -> Tuple[Optional[str], bool]:
+    ) -> Optional[str]:
         """Resolve a dotted call chain from inside ``info`` to a qname."""
         if (
             len(chain) == 2
@@ -288,7 +266,7 @@ class ProgramIndex:
         ):
             local = f"{info.class_name}.{chain[1]}"
             target = module.functions.get(local)
-            return (target.qname if target else None), True
+            return target.qname if target else None
         head, rest = chain[0], chain[1:]
         # Nested defs: a bare name may target a sibling/child function in
         # the enclosing def chain, innermost scope first.
@@ -298,12 +276,12 @@ class ProgramIndex:
                 candidate = ".".join(parts[:depth] + [head])
                 target = module.functions.get(candidate)
                 if target is not None:
-                    return target.qname, False
+                    return target.qname
         bound = module.bindings.get(head)
         if bound is None:
-            return None, False
+            return None
         dotted = ".".join([bound] + rest)
-        return self._resolve_symbol(dotted, frozenset()), False
+        return self._resolve_symbol(dotted, frozenset())
 
     def _resolve_symbol(
         self, dotted: str, visited: frozenset
@@ -335,20 +313,6 @@ class ProgramIndex:
     def get(self, qname: str) -> Optional[FunctionInfo]:
         return self.functions.get(qname)
 
-    def functions_in(self, scope_path: str) -> List[FunctionInfo]:
-        return [
-            info
-            for info in self.functions.values()
-            if info.scope_path == scope_path
-        ]
-
-    def callers_of(self, qname: str) -> List[FunctionInfo]:
-        return [
-            info
-            for info in self.functions.values()
-            if any(site.callee == qname for site in info.calls)
-        ]
-
     def transitive_callees(self, qname: str) -> List[str]:
         """Every in-tree function reachable from ``qname`` via resolved
         call edges (excluding itself), in sorted order."""
@@ -365,19 +329,6 @@ class ProgramIndex:
                         seen.add(site.callee)
                         frontier.append(site.callee)
         return sorted(seen)
-
-
-def _own_statements_and_exprs(root: ast.AST) -> Iterable[ast.AST]:
-    """Every node in ``root``'s own body, not descending into nested
-    function/class definitions (each is visited separately)."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-        ):
-            stack.extend(ast.iter_child_nodes(node))
 
 
 # -- per-root cache ---------------------------------------------------------

@@ -30,8 +30,9 @@ stay meaningful.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
+from .callgraph import attr_chain, own_nodes
 from .context import SourceModule
 from .findings import Finding
 from .rules import register_rule
@@ -41,34 +42,8 @@ __all__ = []  # rules register themselves; nothing to import by name
 _NP_ROOTS = {"np", "numpy"}
 
 
-def _attr_chain(node: ast.AST) -> Optional[List[str]]:
-    """``np.random.seed`` -> ["np", "random", "seed"]; None if not a
-    plain Name/Attribute chain."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return parts[::-1]
-    return None
-
-
 def _call_chain(call: ast.Call) -> Optional[List[str]]:
-    return _attr_chain(call.func)
-
-
-def _iter_own_nodes(root: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``root`` without descending into nested function/class
-    definitions (each gets its own visit from the caller)."""
-    stack = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-        ):
-            stack.extend(ast.iter_child_nodes(node))
+    return attr_chain(call.func)
 
 
 def _functions(tree: ast.Module):
@@ -268,7 +243,7 @@ def check_stage_purity(module: SourceModule) -> List[Finding]:
             continue
         for node in ast.walk(fn):
             if isinstance(node, ast.Attribute) and node.attr == "environ":
-                chain = _attr_chain(node)
+                chain = attr_chain(node)
                 if chain and chain[0] == "os":
                     findings.append(module.finding(
                         node, "stage-purity",
@@ -389,7 +364,7 @@ def _scope_array_names(scope: ast.AST) -> set:
         if isinstance(expr, ast.Name):
             return expr.id in names
         if isinstance(expr, ast.Attribute):
-            chain = _attr_chain(expr)
+            chain = attr_chain(expr)
             return bool(chain) and chain[-1] in _ARRAY_ATTR_TAILS
         if isinstance(expr, ast.Subscript):
             return produces_array(expr.value)
@@ -412,7 +387,7 @@ def _scope_array_names(scope: ast.AST) -> set:
 
     # Two passes so aliases of later-assigned arrays still resolve.
     for _ in range(2):
-        for node in _iter_own_nodes(scope):
+        for node in own_nodes(scope):
             if isinstance(node, ast.Assign) and produces_array(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -432,7 +407,7 @@ def _binop_has_array_leaf(expr: ast.expr, names: set) -> bool:
         if isinstance(sub, ast.Name) and sub.id in names:
             return True
         if isinstance(sub, ast.Attribute):
-            chain = _attr_chain(sub)
+            chain = attr_chain(sub)
             if chain and chain[-1] in _ARRAY_ATTR_TAILS:
                 return True
     return False
@@ -461,7 +436,7 @@ def check_hot_loop_alloc(module: SourceModule) -> List[Finding]:
         ) and not module.in_hot_region((scope_line + scope_end) // 2):
             continue
         names = _scope_array_names(scope)
-        for node in _iter_own_nodes(scope):
+        for node in own_nodes(scope):
             lineno = getattr(node, "lineno", None)
             if lineno is None or not module.in_hot_region(lineno):
                 continue
@@ -522,7 +497,7 @@ def check_async_blocking(module: SourceModule) -> List[Finding]:
     for fn in _functions(module.tree):
         if not isinstance(fn, ast.AsyncFunctionDef):
             continue
-        for node in _iter_own_nodes(fn):
+        for node in own_nodes(fn):
             if not isinstance(node, ast.Call):
                 continue
             chain = _call_chain(node)
@@ -618,7 +593,7 @@ def _lock_guarded_ranges(fn: ast.AST) -> List:
             expr = item.context_expr
             if isinstance(expr, ast.Call):
                 expr = expr.func
-            chain = _attr_chain(expr)
+            chain = attr_chain(expr)
             if chain and any("lock" in part.lower() for part in chain):
                 ranges.append((node.lineno, node.end_lineno or node.lineno))
                 break
@@ -629,7 +604,7 @@ def _self_call_lines(method: ast.AST) -> List:
     """(callee method name, call line) for every ``self.x(...)`` /
     ``cls.x(...)`` call in ``method``'s own body."""
     calls = []
-    for node in _iter_own_nodes(method):
+    for node in own_nodes(method):
         if not isinstance(node, ast.Call):
             continue
         chain = _call_chain(node)
@@ -724,7 +699,7 @@ def check_lock_discipline(module: SourceModule) -> List[Finding]:
         for name, method in methods.items():
             if name == "__init__":
                 continue  # runs before any thread is spawned
-            for node in _iter_own_nodes(method):
+            for node in own_nodes(method):
                 if not isinstance(node, (ast.Assign, ast.AugAssign)):
                     continue
                 targets = (

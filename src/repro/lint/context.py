@@ -51,7 +51,6 @@ class SourceModule:
         rule: str,
         message: str,
         severity: str = "error",
-        chain: tuple = (),
     ) -> Finding:
         """Build a finding anchored at ``node`` (or a (line, col) pair)."""
         if isinstance(node, tuple):
@@ -66,7 +65,6 @@ class SourceModule:
             message=message,
             severity=severity,
             snippet=self.line_text(line),
-            chain=tuple(chain),
         )
 
     def in_hot_region(self, line: int) -> bool:

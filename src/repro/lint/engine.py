@@ -1,5 +1,5 @@
-"""The lint engine: collect files, run rules, apply suppressions and
-baseline, produce a :class:`LintReport`.
+"""The lint engine: collect files, run rules, apply inline
+suppressions, produce a :class:`LintReport`.
 
 Scope paths are computed relative to the nearest non-package ancestor
 (for files inside a package) or the passed directory (for plain trees
@@ -11,12 +11,10 @@ start of the path or at any ``/`` boundary.
 
 from __future__ import annotations
 
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .baseline import apply_baseline, discover_baseline, load_baseline, save_baseline
 from .context import load_module
 from .findings import Finding
 from .rules import LINT_RULES, LintRuleRegistry
@@ -24,16 +22,14 @@ from .rules import LINT_RULES, LintRuleRegistry
 __all__ = [
     "LintReport",
     "REPORT_VERSION",
-    "changed_files",
     "collect_files",
     "default_root",
     "run_lint",
 ]
 
-#: JSON report schema version.  v2 added per-finding ``chain`` (the
-#: interprocedural source→sink witness) and guarantees ``stale_baseline``
-#: is present in JSON output, not only rendered in text mode.
-REPORT_VERSION = 2
+#: JSON report schema version; bumped whenever a report or finding key
+#: is added or removed, so consumers can pin the shape they parse.
+REPORT_VERSION = 3
 
 
 def default_root() -> Path:
@@ -84,58 +80,6 @@ def collect_files(paths: Sequence[Path]) -> List[Tuple[Path, str]]:
     return unique
 
 
-def _git(args: List[str], cwd: Path) -> Optional[str]:
-    try:
-        result = subprocess.run(
-            ["git"] + args,
-            cwd=str(cwd),
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if result.returncode != 0:
-        return None
-    return result.stdout
-
-
-def changed_files(anchor: Path) -> Optional[Set[Path]]:
-    """Files differing from the merge base, for ``repro lint --changed``.
-
-    Resolved against the repository containing ``anchor``: the diff of
-    the working tree against ``merge-base HEAD <main>`` (first of
-    origin/main, origin/master, main, master that exists; bare HEAD as
-    the fallback, which reduces to uncommitted changes), plus untracked
-    files.  Returns None when ``anchor`` is not inside a git work tree.
-    """
-    cwd = anchor if anchor.is_dir() else anchor.parent
-    toplevel = _git(["rev-parse", "--show-toplevel"], cwd)
-    if toplevel is None:
-        return None
-    repo = Path(toplevel.strip())
-    base = "HEAD"
-    for ref in ("origin/main", "origin/master", "main", "master"):
-        merge_base = _git(["merge-base", "HEAD", ref], cwd)
-        if merge_base is not None:
-            base = merge_base.strip()
-            break
-    changed: Set[Path] = set()
-    diff = _git(["diff", "--name-only", "-z", base], cwd)
-    untracked = _git(
-        ["ls-files", "--others", "--exclude-standard", "-z"], cwd
-    )
-    for listing in (diff, untracked):
-        if listing is None:
-            continue
-        for name in listing.split("\0"):
-            if name:
-                path = (repo / name).resolve()
-                if path.is_file():
-                    changed.add(path)
-    return changed
-
-
 @dataclass
 class LintReport:
     """Everything one lint run decided, ready for text or JSON."""
@@ -143,9 +87,6 @@ class LintReport:
     roots: List[str]
     findings: List[Finding] = field(default_factory=list)  # active
     suppressed: List[Tuple[Finding, object]] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    stale_baseline: List[dict] = field(default_factory=list)
-    baseline_path: Optional[str] = None
 
     @property
     def exit_code(self) -> int:
@@ -168,30 +109,15 @@ class LintReport:
             "counts": {
                 "active": len(self.findings),
                 "suppressed": len(self.suppressed),
-                "baselined": len(self.baselined),
             },
-            "baseline": self.baseline_path,
-            "stale_baseline": self.stale_baseline,
         }
 
     def format_text(self) -> str:
         lines = [finding.format() for finding in self.findings]
-        if self.stale_baseline:
-            lines.append("")
-            lines.append(
-                f"{len(self.stale_baseline)} stale baseline entr"
-                f"{'y' if len(self.stale_baseline) == 1 else 'ies'} "
-                "(fixed code still grandfathered — run --baseline-update):"
-            )
-            for entry in self.stale_baseline:
-                lines.append(
-                    f"  {entry['rule']} {entry['path']}: {entry['snippet']!r}"
-                )
         summary = (
             f"{len(self.findings)} finding"
             f"{'' if len(self.findings) == 1 else 's'}"
-            f" ({len(self.suppressed)} suppressed,"
-            f" {len(self.baselined)} baselined)"
+            f" ({len(self.suppressed)} suppressed)"
         )
         lines.append(summary)
         return "\n".join(lines)
@@ -201,25 +127,13 @@ def run_lint(
     paths: Optional[Sequence[Path]] = None,
     *,
     rule_names: Optional[Sequence[str]] = None,
-    baseline_path: Optional[Path] = None,
-    use_baseline: bool = True,
-    update_baseline: bool = False,
-    changed_only: bool = False,
     registry: LintRuleRegistry = LINT_RULES,
 ) -> LintReport:
     """Lint ``paths`` (default: the installed repro package).
 
     ``rule_names`` restricts to a subset (unknown names raise
-    ``ValueError``).  With ``use_baseline`` the nearest committed
-    ``lint-baseline.json`` above a lint root is honoured unless an
-    explicit ``baseline_path`` is given; ``update_baseline`` rewrites
-    that file from this run and reports everything as baselined.
-
-    ``changed_only`` restricts per-file rules to files differing from
-    the git merge base (the pre-commit fast path); stage fingerprints
-    are still checked repo-wide, because an edit to an unchanged-file
-    helper cannot invalidate a pin but an edit anywhere in a stage's
-    callee closure can — and that closure is only visible globally.
+    ``ValueError``).  A finding is excused only by a justified inline
+    ``# repro: allow(<rule>): <why>`` pragma covering its line.
     """
     scan_paths = [Path(p) for p in (paths or [default_root()])]
     if rule_names:
@@ -228,21 +142,13 @@ def run_lint(
         rules = registry.entries()
     known = tuple(registry.names())
 
-    collected = collect_files(scan_paths)
-    if changed_only:
-        changed = changed_files(scan_paths[0])
-        if changed is not None:
-            collected = [
-                (file, scope) for file, scope in collected if file in changed
-            ]
-
-    raw: List[Finding] = []
+    findings: List[Finding] = []
     suppressed: List[Tuple[Finding, object]] = []
-    for file, scope in collected:
+    for file, scope in collect_files(scan_paths):
         try:
             module = load_module(file, scope, known)
         except SyntaxError as exc:
-            raw.append(Finding(
+            findings.append(Finding(
                 path=scope,
                 line=exc.lineno or 1,
                 col=(exc.offset or 1) - 1,
@@ -260,53 +166,9 @@ def run_lint(
                 if excuse is not None:
                     suppressed.append((finding, excuse))
                 else:
-                    raw.append(finding)
-    if changed_only:
-        # Fingerprints stay repo-wide: run the whole-tree check (which
-        # also sees unpinned stages) when a pin file is committed, and
-        # drop the per-module findings it duplicates.
-        from .fingerprint import check_fingerprints, discover_fingerprints
-
-        if discover_fingerprints(scan_paths) is not None:
-            fp_findings, _, _ = check_fingerprints(scan_paths)
-            raw.extend(fp_findings)
-    raw.sort()
-    raw = list(dict.fromkeys(raw))
-
-    resolved_baseline: Optional[Path] = None
-    if baseline_path is not None:
-        resolved_baseline = Path(baseline_path)
-    elif use_baseline:
-        resolved_baseline = discover_baseline(scan_paths)
-
-    if update_baseline:
-        if resolved_baseline is None:
-            resolved_baseline = Path.cwd() / "lint-baseline.json"
-        save_baseline(resolved_baseline, raw)
-        return LintReport(
-            roots=[str(p) for p in scan_paths],
-            findings=[],
-            suppressed=suppressed,
-            baselined=raw,
-            stale_baseline=[],
-            baseline_path=str(resolved_baseline),
-        )
-
-    if resolved_baseline is not None and resolved_baseline.is_file():
-        baseline = load_baseline(resolved_baseline)
-        active, baselined, stale = apply_baseline(raw, baseline)
-    else:
-        active, baselined, stale = raw, [], []
-
+                    findings.append(finding)
     return LintReport(
         roots=[str(p) for p in scan_paths],
-        findings=active,
+        findings=list(dict.fromkeys(sorted(findings))),
         suppressed=suppressed,
-        baselined=baselined,
-        stale_baseline=stale,
-        baseline_path=(
-            str(resolved_baseline)
-            if resolved_baseline is not None and resolved_baseline.is_file()
-            else None
-        ),
     )

@@ -2,10 +2,8 @@
 
 A :class:`Finding` is one violation at one source location.  Findings
 are plain data — JSON-ready via :meth:`Finding.to_dict` — because they
-cross three boundaries: the CLI's ``--format json`` output (whose shape
-CI validates), the committed baseline file (matched by rule + path +
-snippet, never by line number, so unrelated edits don't invalidate
-grandfathered entries), and the test fixtures' exact-match assertions.
+cross two boundaries: the CLI's ``--format json`` output (whose shape
+CI validates) and the test fixtures' exact-match assertions.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ class Finding:
 
     ``path`` is relative to the lint root (posix separators), so
     findings compare equal across machines; ``snippet`` is the stripped
-    source line, the stable identity the baseline matches on.
+    source line.
     """
 
     path: str
@@ -36,9 +34,6 @@ class Finding:
     message: str = field(compare=False)
     severity: str = field(default="error", compare=False)
     snippet: str = field(default="", compare=False)
-    #: Interprocedural rules attach the source→sink witness here, one
-    #: rendered step per element; empty for single-site findings.
-    chain: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.severity not in SEVERITIES:
@@ -55,7 +50,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "chain": list(self.chain),
         }
 
     def format(self) -> str:

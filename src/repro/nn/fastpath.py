@@ -28,6 +28,7 @@ neural-network engine.  Two independent policies live here:
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
@@ -48,7 +49,22 @@ _FUSED = True
 #: Supported precision names (the ``precision=`` knob on training APIs).
 PRECISIONS = ("float64", "float32")
 
-_DEFAULT_DTYPE = np.float64
+
+class _ThreadState(threading.local):
+    """Per-thread autograd mode and default dtype.
+
+    ``no_grad()`` and ``precision(...)`` save and restore these on the
+    calling thread only, so blocks overlapping on two threads (a serving
+    batcher next to a training loop) can never leave each other's
+    setting behind.  The class attributes are every thread's defaults.
+    """
+
+    grad_enabled = True
+    dtype = np.float64
+
+
+#: The one home of both per-thread switches (read by ``repro.nn.tensor``).
+THREAD_STATE = _ThreadState()
 
 #: (shape, dtype, slot) → reusable buffer for *transient* backward
 #: intermediates (batched gradient matmuls before their reductions).
@@ -108,7 +124,7 @@ def composite_ops():
 
 def default_dtype() -> np.dtype:
     """The dtype new tensors are stored in (float64 unless overridden)."""
-    return _DEFAULT_DTYPE
+    return THREAD_STATE.dtype
 
 
 def resolve_dtype(precision_name) -> np.dtype:
@@ -129,17 +145,16 @@ def resolve_dtype(precision_name) -> np.dtype:
 
 @contextlib.contextmanager
 def precision(precision_name):
-    """Set the default tensor dtype within the block.
+    """Set the calling thread's default tensor dtype within the block.
 
     ``precision("float32")`` makes every tensor (parameters created
     inside the block included) store float32; gradients and optimizer
     state follow the parameter dtype automatically.
     """
-    global _DEFAULT_DTYPE
     dtype = resolve_dtype(precision_name)
-    previous = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = dtype
+    previous = THREAD_STATE.dtype
+    THREAD_STATE.dtype = dtype
     try:
         yield
     finally:
-        _DEFAULT_DTYPE = previous
+        THREAD_STATE.dtype = previous

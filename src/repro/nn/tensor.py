@@ -34,24 +34,24 @@ __all__ = [
     "masked_softmax",
 ]
 
-_GRAD_ENABLED = True
+_STATE = fastpath.THREAD_STATE
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction within the block (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph construction on the calling thread within the block
+    (inference mode)."""
+    previous = _STATE.grad_enabled
+    _STATE.grad_enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _STATE.grad_enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """True when operations record the autograd graph."""
-    return _GRAD_ENABLED
+    """True when operations on the calling thread record the autograd graph."""
+    return _STATE.grad_enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -123,7 +123,7 @@ class Tensor:
         parents: tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _STATE.grad_enabled and any(p.requires_grad for p in parents)
         out = cls(data, requires_grad=requires)
         if requires:
             out._parents = parents

@@ -1,5 +1,5 @@
-"""The shared call-graph layer: name binding, edge resolution, closures,
-and the per-root index cache the whole-program rules stand on."""
+"""The call-graph layer: name binding, edge resolution, closures, and
+the per-root index cache the stage-fingerprint rule stands on."""
 
 from pathlib import Path
 
@@ -50,8 +50,6 @@ class TestResolution:
         go = index.get("mod:Runner.go")
         callees = {site.callee for site in go.calls}
         assert callees == {"mod:Runner.step", "mod:helper"}
-        self_call = [s for s in go.calls if s.callee == "mod:Runner.step"][0]
-        assert self_call.implicit_self
 
     def test_relative_import_and_alias(self, tmp_path):
         pairs = _write_tree(tmp_path, {

@@ -1,38 +1,36 @@
 """The repo itself must lint clean — this is the acceptance gate.
 
 `repro lint` at HEAD exits 0: every finding in the tree is either
-fixed, carries a justified inline suppression, or sits in the committed
-`lint-baseline.json`.  Running it inside tier-1 makes the linter a test
-any PR must keep green, exactly like the golden bit-identity gates.
+fixed or carries a justified inline suppression.  Running it inside
+tier-1 makes the linter a test any PR must keep green, exactly like the
+golden bit-identity gates.
 """
+
+import pytest
 
 from repro.lint import (
     LINT_RULES,
     check_fingerprints,
     default_root,
-    discover_baseline,
     discover_fingerprints,
     run_lint,
 )
 
 
-def test_repo_lints_clean_at_head():
-    report = run_lint()  # default root + discovered committed baseline
+@pytest.fixture(scope="module")
+def report():
+    """One whole-package lint run, shared by the assertions below."""
+    return run_lint()
+
+
+def test_repo_lints_clean_at_head(report):
     details = "\n".join(f.format() for f in report.findings)
-    assert report.exit_code == 0, f"unbaselined lint findings:\n{details}"
+    assert report.exit_code == 0, f"lint findings:\n{details}"
 
 
-def test_committed_baseline_has_no_stale_entries():
-    # A stale entry means code was fixed but the grandfather clause
-    # lingers; keep the committed baseline tight with --baseline-update.
-    report = run_lint()
-    assert report.stale_baseline == [], report.stale_baseline
-
-
-def test_every_suppression_in_tree_is_justified():
+def test_every_suppression_in_tree_is_justified(report):
     # Structural guarantee (a bare allow is a pragma finding), restated
     # here as a direct assertion over every suppression in the package.
-    report = run_lint()
     for finding, excuse in report.suppressed:
         assert excuse.justification.strip(), finding.format()
 
@@ -42,7 +40,7 @@ def test_the_required_rules_are_registered():
     assert {
         "determinism", "stage-purity", "hot-loop-alloc",
         "async-blocking", "lock-discipline",
-        "key-taint", "stage-fingerprint",
+        "stage-fingerprint",
     } <= names
 
 
@@ -63,8 +61,3 @@ def test_fingerprint_discovery_finds_the_committed_file():
     assert pins is not None
     assert pins.name == "stage-fingerprints.json"
 
-
-def test_baseline_discovery_finds_the_committed_file():
-    baseline = discover_baseline([default_root()])
-    assert baseline is not None
-    assert baseline.name == "lint-baseline.json"

@@ -13,12 +13,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 @pytest.fixture(scope="module")
 def bad_report():
-    return run_lint([FIXTURES / "bad"], use_baseline=False)
+    return run_lint([FIXTURES / "bad"])
 
 
 @pytest.fixture(scope="module")
 def clean_report():
-    return run_lint([FIXTURES / "clean"], use_baseline=False)
+    return run_lint([FIXTURES / "clean"])
 
 
 def _locations(report, path):
@@ -129,7 +129,7 @@ class TestCleanFixtures:
 
 def test_rule_subset_restricts_findings():
     report = run_lint(
-        [FIXTURES / "bad"], rule_names=["determinism"], use_baseline=False
+        [FIXTURES / "bad"], rule_names=["determinism"]
     )
     assert report.findings
     assert {f.rule for f in report.findings} == {"determinism"}
@@ -137,12 +137,12 @@ def test_rule_subset_restricts_findings():
 
 def test_unknown_rule_name_raises():
     with pytest.raises(ValueError, match="unknown lint rule"):
-        run_lint([FIXTURES / "bad"], rule_names=["nope"], use_baseline=False)
+        run_lint([FIXTURES / "bad"], rule_names=["nope"])
 
 
 def test_syntax_error_becomes_parse_finding(tmp_path):
     broken = tmp_path / "broken.py"
     broken.write_text("def f(:\n", encoding="utf-8")
-    report = run_lint([tmp_path], use_baseline=False)
+    report = run_lint([tmp_path])
     assert [f.rule for f in report.findings] == ["parse"]
     assert report.exit_code == 1

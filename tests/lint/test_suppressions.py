@@ -148,7 +148,7 @@ class TestEndToEnd:
             "    return time.time()  # repro: allow(determinism): fixture\n",
             encoding="utf-8",
         )
-        report = run_lint([tmp_path], use_baseline=False)
+        report = run_lint([tmp_path])
         assert report.findings == []
         assert len(report.suppressed) == 1
         assert report.exit_code == 0
@@ -163,6 +163,6 @@ class TestEndToEnd:
             "    return time.time()  # repro: allow(pragma): wrong rule\n",
             encoding="utf-8",
         )
-        report = run_lint([tmp_path], use_baseline=False)
+        report = run_lint([tmp_path])
         assert [f.rule for f in report.findings] == ["determinism"]
         assert report.exit_code == 1

@@ -277,25 +277,36 @@ for plan in plans:
 
 class TestKeyDerivation:
     """Every built-in key has one derivation, the registered key_fn;
-    these check it from outside: stable across interpreter hash seeds,
-    and the keys a campaign planned are the ones the interactive
-    facade reads back."""
+    these check it from outside: stable across processes that differ in
+    everything a key must not read, and the keys a campaign planned are
+    the ones the interactive facade reads back."""
 
-    def _planned_keys(self, hash_seed):
+    def _planned_keys(self, hash_seed, cwd, **extra_env):
         env = {
             **os.environ,
             "PYTHONHASHSEED": str(hash_seed),
             "PYTHONPATH": str(REPO_ROOT / "src"),
+            **extra_env,
         }
         proc = subprocess.run(
             [sys.executable, "-c", _PLAN_EVERYTHING],
-            env=env, cwd=REPO_ROOT, capture_output=True, text=True, timeout=300,
+            env=env, cwd=cwd, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 
-    def test_keys_independent_of_hash_seed(self):
-        first, second = self._planned_keys(0), self._planned_keys(4242)
+    def test_keys_independent_of_hash_seed(self, tmp_path):
+        # Besides the hash seed, the two planners differ in working
+        # directory, store root, an unrelated environment variable, pid
+        # and wall clock: none of these may reach a cache key.
+        first = self._planned_keys(
+            0, REPO_ROOT, REPRO_CACHE_DIR=str(tmp_path / "store-a")
+        )
+        second = self._planned_keys(
+            4242, tmp_path,
+            REPRO_CACHE_DIR=str(tmp_path / "store-b"),
+            REPRO_UNRELATED_SETTING="1",
+        )
         assert first == second
         planned = {line.split(":", 1)[0] for line in first}
         assert set(STAGE_REGISTRY.sweep_stages()) - {"trace_stats"} <= planned

@@ -2,8 +2,8 @@
 
 Smoke-scale benchmark runs must never overwrite the committed
 small/paper-scale ``bench_results/*.json``, and every saved payload must
-carry its scale so downstream readers (``scripts/fill_experiments.py``)
-can tell paper-grade numbers from CI smoke output.
+carry its scale so downstream readers can tell paper-grade numbers from
+CI smoke output.
 """
 
 import json
