@@ -57,6 +57,9 @@ class Experiment:
             ``store=None`` to disable persistence entirely.
     """
 
+    #: Owns the traces, bundles and models behind every method below.
+    context: ExperimentContext
+
     def __init__(
         self,
         spec: ExperimentSpec | None = None,

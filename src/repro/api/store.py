@@ -1,15 +1,21 @@
 """Content-addressed on-disk artifact store.
 
 Simulation and pre-training dominate experiment wall time.  The store
-keys every expensive artifact — raw traces, windowed
-:class:`~repro.datasets.generation.DatasetBundle`\\ s and trained
-checkpoints — by a stable content hash of everything that produced it,
-so a repeated run hits disk instead of re-simulating or re-training.
+keys every expensive artifact — raw traces and trained checkpoints — by
+a stable content hash of everything that produced it, so a repeated run
+hits disk instead of re-simulating or re-training.
 
-Layout (one ``.npz`` per artifact, one ``.json`` per record)::
+A windowed :class:`~repro.datasets.generation.DatasetBundle` is not
+stored: each packet sits in ~``window_len / stride`` windows, so its
+arrays are far larger than the traces they are cut from and slower to
+write and read back than to re-window.  The store keeps a small JSON
+record per bundle (name, receiver index, packet and window counts,
+provenance) and the windows are rebuilt from the stored traces.
+
+Layout (one ``.npz`` per array artifact, one ``.json`` per record)::
 
     <root>/traces/<key>-run<i>.npz   (+ <key>.meta.json sidecar)
-    <root>/bundles/<key>.npz
+    <root>/bundles/<key>.json
     <root>/checkpoints/<key>.npz
     <root>/evaluations/<key>.json
     <root>/manifests/<name>.json
@@ -38,9 +44,7 @@ from repro.api.hashing import stable_hash
 from repro.api.spec import (
     ntt_config_from_dict,
     ntt_config_to_dict,
-    scenario_config_from_dict,
     scenario_config_to_dict,
-    window_config_from_dict,
     window_config_to_dict,
 )
 from repro.core.features import FeaturePipeline
@@ -49,7 +53,7 @@ from repro.core.model import NTT, NTTConfig, NTTForDelay, NTTForMCT
 from repro.core.pretrain import PretrainResult, TrainSettings
 from repro.datasets.generation import DatasetBundle
 from repro.datasets.normalize import FeatureScaler
-from repro.datasets.windows import WindowConfig, WindowDataset
+from repro.datasets.windows import WindowConfig
 from repro.netsim.scenarios import ScenarioConfig
 from repro.netsim.trace import Trace
 from repro.nn.serialize import load_state, save_checkpoint
@@ -76,23 +80,14 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: cache misses instead of being silently served.
 ARTIFACT_SCHEMA_VERSION = 2
 
-KINDS = ("traces", "bundles", "checkpoints")
+KINDS = ("traces", "checkpoints")
 
 #: Artifact kinds stored as JSON documents rather than ``.npz`` arrays.
-JSON_KINDS = ("evaluations", "manifests")
+#: A ``bundles/<key>.npz`` left by older code is never read; ``clear``
+#: still removes it.
+JSON_KINDS = ("bundles", "evaluations", "manifests")
 
 _META_KEY = "__meta__"
-_SCHEMA_KEY = "__schema_version__"
-_SPLITS = ("train", "val", "test")
-_SPLIT_ARRAYS = (
-    "features",
-    "receiver",
-    "delay_target",
-    "mct_target",
-    "message_size",
-    "mct_seq",
-    "end_seq",
-)
 
 
 # -- cache keys -------------------------------------------------------------------
@@ -258,7 +253,7 @@ def _history_from_dict(payload: dict[str, object]) -> TrainingHistory:
 
 
 class ArtifactStore:
-    """Content-addressed cache of traces, bundles and checkpoints."""
+    """Content-addressed cache of traces, checkpoints and JSON records."""
 
     def __init__(self, root: str | os.PathLike | None = None):
         if root is None:
@@ -318,15 +313,13 @@ class ArtifactStore:
         if kind in JSON_KINDS:
             return self.get_json(kind, key) is not None
         try:
+            # Checkpoints carry the stamp inside their JSON metadata
+            # member (save_checkpoint owns the layout).
             with np.load(path) as data:
-                if kind == "checkpoints":
-                    # Checkpoints carry the stamp inside their JSON
-                    # metadata member (save_checkpoint owns the layout).
-                    if _META_KEY not in data.files:
-                        return False
-                    metadata = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
-                    return metadata.get("schema_version") == ARTIFACT_SCHEMA_VERSION
-                return self._schema_matches(data)
+                if _META_KEY not in data.files:
+                    return False
+                metadata = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
+                return metadata.get("schema_version") == ARTIFACT_SCHEMA_VERSION
         except (OSError, ValueError, KeyError, json.JSONDecodeError):
             return False
 
@@ -398,30 +391,10 @@ class ArtifactStore:
             # Non-POSIX semantics; the other writer's artifact serves.
             temp.unlink(missing_ok=True)
 
-    def _write_npz(self, path: Path, payload: dict[str, np.ndarray]) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {**payload, _SCHEMA_KEY: np.int64(ARTIFACT_SCHEMA_VERSION)}
-        temp = self._temp_path(path)
-        try:
-            with open(temp, "wb") as handle:
-                np.savez_compressed(handle, **payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            self._publish(temp, path)
-        finally:
-            temp.unlink(missing_ok=True)
-
-    @staticmethod
-    def _schema_matches(data: np.lib.npyio.NpzFile) -> bool:
-        """Whether a loaded npz was written by the current schema."""
-        if _SCHEMA_KEY not in getattr(data, "files", data):
-            return False
-        return int(data[_SCHEMA_KEY]) == ARTIFACT_SCHEMA_VERSION
-
-    # -- JSON records (evaluations, campaign manifests) --------------------------
+    # -- JSON records (bundles, evaluations, campaign manifests) ------------------
 
     def put_json(self, kind: str, key: str, payload: dict[str, object]) -> Path:
-        """Store a JSON record (``evaluations`` / ``manifests``)."""
+        """Store a JSON record (``bundles`` / ``evaluations`` / ``manifests``)."""
         if kind not in JSON_KINDS:
             raise ValueError(f"unknown JSON kind {kind!r}; choose from {JSON_KINDS}")
         path = self.path(kind, key)
@@ -583,50 +556,27 @@ class ArtifactStore:
             key, len(traces), total_packets=sum(len(trace) for trace in traces)
         )
 
-    # -- dataset bundles ---------------------------------------------------------
+    # -- dataset bundle records -------------------------------------------------
 
     def put_bundle(self, key: str, bundle: DatasetBundle) -> Path:
-        payload = {}
-        for split in _SPLITS:
-            dataset = getattr(bundle, split)
-            for name in _SPLIT_ARRAYS:
-                payload[f"{split}__{name}"] = getattr(dataset, name)
-        meta = {
-            "name": bundle.name,
-            "receiver_index": {str(k): v for k, v in bundle.receiver_index.items()},
-            "scenario": scenario_config_to_dict(bundle.scenario),
-            "window": window_config_to_dict(bundle.window_config),
-            "n_packets": bundle.n_packets,
-        }
-        payload[_META_KEY] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        """Record a bundle's counts and provenance (not its windows)."""
+        return self.put_json(
+            "bundles",
+            key,
+            {
+                "name": bundle.name,
+                "receiver_index": {str(k): v for k, v in bundle.receiver_index.items()},
+                "n_packets": bundle.n_packets,
+                "n_windows": bundle.n_windows,
+                "scenario": scenario_config_to_dict(bundle.scenario),
+                "window": window_config_to_dict(bundle.window_config),
+            },
         )
-        path = self.path("bundles", key)
-        self._write_npz(path, payload)
-        return path
 
-    def get_bundle(self, key: str) -> DatasetBundle | None:
-        path = self.get("bundles", key)
-        if path is None:
-            return None
-        with np.load(path) as data:
-            if not self._schema_matches(data):
-                return None
-            meta = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
-            splits = {}
-            for split in _SPLITS:
-                arrays = {name: data[f"{split}__{name}"] for name in _SPLIT_ARRAYS}
-                splits[split] = WindowDataset(**arrays)
-        return DatasetBundle(
-            name=meta["name"],
-            train=splits["train"],
-            val=splits["val"],
-            test=splits["test"],
-            receiver_index={int(k): v for k, v in meta["receiver_index"].items()},
-            scenario=scenario_config_from_dict(meta["scenario"]),
-            window_config=window_config_from_dict(meta["window"]),
-            n_packets=meta["n_packets"],
-        )
+    def get_bundle(self, key: str) -> dict[str, object] | None:
+        """A bundle's record as :meth:`put_bundle` wrote it (receiver ids
+        as string keys), or ``None`` on a miss or a stale record."""
+        return self.get_json("bundles", key)
 
     # -- pre-trained checkpoints -------------------------------------------------
 

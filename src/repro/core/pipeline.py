@@ -15,7 +15,7 @@ from repro.core.aggregation import AggregationSpec
 from repro.core.features import FeaturePipeline, FeatureSpec
 from repro.core.model import NTTConfig
 from repro.core.pretrain import PretrainResult, TrainSettings, pretrain
-from repro.datasets.generation import DatasetBundle, generate_dataset
+from repro.datasets.generation import DatasetBundle, build_receiver_index, generate_dataset
 from repro.datasets.windows import WindowConfig
 from repro.netsim.scenarios import ScenarioConfig, ScenarioKind
 
@@ -148,10 +148,12 @@ class ExperimentContext:
 
     * in-memory — repeated calls on one context return the same object;
     * on-disk — when constructed with an
-      :class:`~repro.api.store.ArtifactStore`, bundles and checkpoints
+      :class:`~repro.api.store.ArtifactStore`, traces and checkpoints
       are content-addressed by everything that produced them, so a fresh
       context (even in a new process) with the same spec is served from
-      disk instead of re-simulating / re-training.
+      disk instead of re-simulating / re-training.  Bundles are windowed
+      from the stored traces on every new context; the store keeps only
+      a record of each (see :meth:`bundle`).
 
     Store keys come from the stages' registered ``key_fn`` functions —
     the derivation the campaign planner uses — so the artifacts a
@@ -163,6 +165,7 @@ class ExperimentContext:
         self.store = store
         self.seed = seed
         self._bundles: dict[str, DatasetBundle] = {}
+        self._pretrain_receivers: dict[int, int] | None = None
         self._pretrained: dict[str, PretrainResult] = {}
         self._spec = None
 
@@ -203,18 +206,27 @@ class ExperimentContext:
     # -- datasets -----------------------------------------------------------------
 
     def _receiver_index(self, kind: str) -> dict[int, int] | None:
-        """Receiver identities are shared with pre-training."""
+        """Receiver identities are shared with pre-training: the index
+        of the pre-training traces, computed once per context."""
         if kind == ScenarioKind.PRETRAIN:
             return None
-        return self.bundle(ScenarioKind.PRETRAIN).receiver_index
+        if self._pretrain_receivers is None:
+            pretrain = self._bundles.get(ScenarioKind.PRETRAIN)
+            self._pretrain_receivers = (
+                pretrain.receiver_index
+                if pretrain is not None
+                else build_receiver_index(self.traces(ScenarioKind.PRETRAIN))
+            )
+        return self._pretrain_receivers
 
     def bundle_store_key(self, kind: str) -> str:
-        """The store key of one scenario's bundle (its one derivation).
+        """The store key of one scenario's bundle record (its one
+        derivation).
 
         Unlike the other built-in keys it depends on data — fine-tuning
-        bundles embed the pre-training receiver index, so this builds
-        (or loads) the pre-training bundle first.  The bundle stage's
-        registered ``key_fn`` is therefore only a planning surrogate.
+        bundles embed the pre-training receiver index, so this reads the
+        pre-training traces first.  The bundle stage's registered
+        ``key_fn`` is therefore only a planning surrogate.
         """
         from repro.api.stages import STAGE_REGISTRY
         from repro.api.store import bundle_key
@@ -229,25 +241,25 @@ class ExperimentContext:
         )
 
     def bundle(self, kind: str) -> DatasetBundle:
-        """The windowed dataset for one scenario (cached; store-backed)."""
+        """The windowed dataset for one scenario (memoised per context).
+
+        Always windowed from :meth:`traces`: re-windowing the stored
+        traces is cheaper than writing and reading back the windows.
+        With a store, the bundle's record is written when none exists.
+        """
         if kind not in self._bundles:
-            key = None
-            if self.store is not None:
-                key = self.bundle_store_key(kind)
-                cached = self.store.get_bundle(key)
-                if cached is not None:
-                    self._bundles[kind] = cached
-                    return cached
             bundle = generate_dataset(
                 self.scenario_config(kind),
                 window_config=self.scale.window,
                 n_runs=self.scale.n_runs,
                 name=kind,
                 receiver_index=self._receiver_index(kind),
-                traces=self.traces(kind) if self.store is not None else None,
+                traces=self.traces(kind),
             )
             if self.store is not None:
-                self.store.put_bundle(key, bundle)
+                key = self.bundle_store_key(kind)
+                if self.store.get_bundle(key) is None:
+                    self.store.put_bundle(key, bundle)
             self._bundles[kind] = bundle
         return self._bundles[kind]
 

@@ -27,6 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.api.experiment import Experiment
 from repro.api.hashing import stable_hash
 from repro.api.stages import STAGE_REGISTRY, register_stage
 from repro.core.pretrain import PretrainResult
@@ -86,7 +87,7 @@ def _federated_key(spec, params: dict) -> str:
     key_fn=_federated_key,
     description="FedAvg pre-training over private client datasets (§5)",
 )
-def _stage_federated_pretrain(experiment, inputs, params):
+def _stage_federated_pretrain(experiment: Experiment, inputs, params):
     """Run (or restore) collective pre-training; the global model is
     stored as a regular pre-trained checkpoint, so ``Experiment`` /
     ``Predictor`` machinery can serve it downstream."""
@@ -198,7 +199,7 @@ def _report_row(report: DriftReport) -> dict:
     key_fn=_drift_key,
     description="Page-Hinkley drift check of the deployed NTT on this spec's scenario (§5)",
 )
-def _stage_drift_monitor(experiment, inputs, params):
+def _stage_drift_monitor(experiment: Experiment, inputs, params):
     """Deploy the (store-backed) pre-trained model, calibrate the
     monitor on its validation windows, then feed it in-distribution
     traffic followed by the spec's scenario."""

@@ -11,12 +11,15 @@ builds the layer :mod:`.fingerprint` stands on:
   resolved (where syntactically possible) to the fully-qualified
   function it targets, including ``self.method()`` dispatch and
   re-exports followed through ``__init__`` bindings;
+* **instance calls through annotations** — ``x.m()`` where parameter
+  ``x`` is annotated with an indexed class, and ``self.a.m()`` /
+  ``x.a.m()`` where the class body declares ``a: Cls``;
 * **transitive closures** over those edges, for callee-set fingerprints.
 
-Resolution is name-based and conservative: calls through instances,
-dynamic dispatch, or external libraries resolve to ``None`` and simply
-end the analysis there — the same trade the per-file rules make (high
-signal, zero imports executed).
+Resolution is name-based and conservative: unannotated instances,
+inherited methods, dynamic dispatch, or external libraries resolve to
+``None`` and simply end the analysis there — the same trade the
+per-file rules make (high signal, zero imports executed).
 
 Indexes are cached per tree root keyed by a file stat signature, so one
 lint run over N files builds the program view once, and repeated
@@ -118,6 +121,7 @@ class ModuleInfo:
     is_package: bool
     bindings: Dict[str, str] = field(default_factory=dict)  # local → dotted target
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)  # local qual → info
+    classes: Dict[str, ast.ClassDef] = field(default_factory=dict)  # local qual → node
 
 
 def _collect_bindings(module: ModuleInfo) -> None:
@@ -177,6 +181,7 @@ def _collect_functions(module: ModuleInfo) -> None:
                 )
                 visit(child, prefix + [child.name], class_name)
             elif isinstance(child, ast.ClassDef):
+                module.classes[".".join(prefix + [child.name])] = child
                 visit(child, prefix + [child.name], child.name)
             else:
                 visit(child, prefix, class_name)
@@ -259,15 +264,11 @@ class ProgramIndex:
         self, module: ModuleInfo, info: FunctionInfo, chain: List[str]
     ) -> Optional[str]:
         """Resolve a dotted call chain from inside ``info`` to a qname."""
-        if (
-            len(chain) == 2
-            and chain[0] in ("self", "cls")
-            and info.class_name is not None
-        ):
-            local = f"{info.class_name}.{chain[1]}"
-            target = module.functions.get(local)
-            return target.qname if target else None
         head, rest = chain[0], chain[1:]
+        if rest:
+            owner = self._instance_class(module, info, head)
+            if owner is not None:
+                return self._resolve_member(owner, rest)
         # Nested defs: a bare name may target a sibling/child function in
         # the enclosing def chain, innermost scope first.
         if not rest:
@@ -280,33 +281,93 @@ class ProgramIndex:
         bound = module.bindings.get(head)
         if bound is None:
             return None
-        dotted = ".".join([bound] + rest)
-        return self._resolve_symbol(dotted, frozenset())
+        located = self._locate(".".join([bound] + rest), frozenset())
+        if located is None:
+            return None
+        target = located[0].functions.get(located[1])
+        return target.qname if target else None
 
-    def _resolve_symbol(
+    def _locate(
         self, dotted: str, visited: frozenset
-    ) -> Optional[str]:
-        """A dotted absolute path → the qname it names, following
-        re-export bindings (``from .engine import run_lint`` in an
-        ``__init__``) with a cycle guard."""
+    ) -> Optional[Tuple[ModuleInfo, str]]:
+        """A dotted absolute path → the module and local name defining
+        it, following re-export bindings (``from .engine import
+        run_lint`` in an ``__init__``) with a cycle guard."""
         if dotted in visited:
             return None
         for name in sorted(self.modules, key=len, reverse=True):
             if dotted == name:
-                return None  # names a module, not a function
+                return None  # names a module, not a definition
             if not dotted.startswith(name + "."):
                 continue
+            module = self.modules[name]
             local = dotted[len(name) + 1:]
-            target = self.modules[name].functions.get(local)
-            if target is not None:
-                return target.qname
+            if local in module.functions or local in module.classes:
+                return module, local
             head, _, tail = local.partition(".")
-            bound = self.modules[name].bindings.get(head)
+            bound = module.bindings.get(head)
             if bound is not None:
                 onward = f"{bound}.{tail}" if tail else bound
-                return self._resolve_symbol(onward, visited | {dotted})
+                return self._locate(onward, visited | {dotted})
             return None
         return None
+
+    def _annotated_class(
+        self, module: ModuleInfo, annotation: Optional[ast.AST]
+    ) -> Optional[Tuple[ModuleInfo, str]]:
+        """The indexed class an annotation names (``Cls``, ``mod.Cls``
+        or the string form of either), else ``None``."""
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            try:
+                annotation = ast.parse(annotation.value, mode="eval").body
+            except SyntaxError:
+                return None
+        chain = attr_chain(annotation) if annotation is not None else None
+        bound = module.bindings.get(chain[0]) if chain else None
+        if bound is None:
+            return None
+        located = self._locate(".".join([bound] + chain[1:]), frozenset())
+        if located is None or located[1] not in located[0].classes:
+            return None
+        return located
+
+    def _instance_class(
+        self, module: ModuleInfo, info: FunctionInfo, name: str
+    ) -> Optional[Tuple[ModuleInfo, str]]:
+        """The class of ``name`` inside ``info``: the enclosing class for
+        ``self``/``cls``, else the annotation of a parameter so named."""
+        if name in ("self", "cls") and info.class_name is not None:
+            return module, info.class_name
+        arguments = getattr(info.node, "args", None)
+        if not isinstance(arguments, ast.arguments):
+            return None
+        for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs:
+            if arg.arg == name:
+                return self._annotated_class(module, arg.annotation)
+        return None
+
+    def _resolve_member(
+        self, owner: Tuple[ModuleInfo, str], attrs: List[str]
+    ) -> Optional[str]:
+        """``attrs`` walked from an instance of ``owner``: each middle
+        attribute through its ``a: Cls`` declaration in the class body,
+        the last one as a method of the class reached."""
+        module, class_local = owner
+        for attr in attrs[:-1]:
+            owner = None
+            node = module.classes.get(class_local)
+            for stmt in node.body if node is not None else ():
+                if (
+                    isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id == attr
+                ):
+                    owner = self._annotated_class(module, stmt.annotation)
+            if owner is None:
+                return None
+            module, class_local = owner
+        target = module.functions.get(f"{class_local}.{attrs[-1]}")
+        return target.qname if target else None
 
     # -- queries ------------------------------------------------------------
 

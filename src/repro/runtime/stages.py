@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api.experiment import Experiment
 from repro.api.hashing import stable_hash
 from repro.api.stages import STAGE_REGISTRY, register_stage
 from repro.api.store import (
@@ -244,7 +245,7 @@ def _evaluate_key(spec, params):
     default=True,
     description="raw simulation traces for one scenario",
 )
-def _stage_traces(experiment, inputs, params):
+def _stage_traces(experiment: Experiment, inputs, params):
     store, key = experiment.store, params["key"]
     n_runs = experiment.scale.n_runs
     if store is not None and store.has_traces(key, n_runs):
@@ -289,16 +290,21 @@ def _stage_traces(experiment, inputs, params):
     default=True,
     description="windowed dataset bundle for one scenario",
 )
-def _stage_bundle(experiment, inputs, params):
+def _stage_bundle(experiment: Experiment, inputs, params):
     scenario = params["scenario"]
     store = experiment.store
-    # Probed before the bundle is built, with the key its storage path
-    # uses, so hit accounting tracks a stage-version bump.
-    hit = store is not None and store.is_current(
-        "bundles", experiment.context.bundle_store_key(scenario)
-    )
+    if store is not None:
+        # A hit reports the record's counts without windowing anything;
+        # the versioned store key makes a stage-version bump a miss.
+        record = store.get_bundle(experiment.context.bundle_store_key(scenario))
+        if record is not None:
+            return True, {
+                "n_windows": record["n_windows"],
+                "n_packets": record["n_packets"],
+                "n_receivers": len(record["receiver_index"]),
+            }
     bundle = experiment.bundle(scenario)
-    return hit, {
+    return False, {
         "n_windows": bundle.n_windows,
         "n_packets": bundle.n_packets,
         "n_receivers": len(bundle.receiver_index),
@@ -313,7 +319,7 @@ def _stage_bundle(experiment, inputs, params):
     default=True,
     description="pre-train the shared NTT (or an ablated variant)",
 )
-def _stage_pretrain(experiment, inputs, params):
+def _stage_pretrain(experiment: Experiment, inputs, params):
     store, key = experiment.store, params["key"]
     hit = store is not None and store.is_current("checkpoints", key)
     features, aggregation = resolve_variant(
@@ -347,7 +353,7 @@ def _summarise_finetune(result) -> dict:
     default=True,
     description="fine-tune the pre-trained NTT on a target scenario",
 )
-def _stage_finetune(experiment, inputs, params):
+def _stage_finetune(experiment: Experiment, inputs, params):
     store, key = experiment.store, params["key"]
     hit = store is not None and store.is_current("checkpoints", key)
     features, aggregation = resolve_variant(
@@ -372,7 +378,7 @@ def _stage_finetune(experiment, inputs, params):
     sweepable=False,
     description="the paper's from-scratch rows (table planners only)",
 )
-def _stage_scratch(experiment, inputs, params):
+def _stage_scratch(experiment: Experiment, inputs, params):
     """The paper's from-scratch rows: full training, no pre-trained
     weights, but normalised by the pre-training pipeline."""
     store, key = experiment.store, params["key"]
@@ -410,7 +416,7 @@ def _stage_scratch(experiment, inputs, params):
     sweepable=False,
     description="naive baseline evaluations (table planners only)",
 )
-def _stage_baselines(experiment, inputs, params):
+def _stage_baselines(experiment: Experiment, inputs, params):
     store, key = experiment.store, params["key"]
     if store is not None and key is not None:
         cached = store.get_json("evaluations", key)
@@ -431,7 +437,7 @@ def _stage_baselines(experiment, inputs, params):
     default=True,
     description="the spec's model vs. the naive baselines on its test set",
 )
-def _stage_evaluate(experiment, inputs, params):
+def _stage_evaluate(experiment: Experiment, inputs, params):
     """Terminal sweep stage: the spec's model vs. the naive baselines on
     its scenario's held-out test set (cached as a JSON evaluation)."""
     store, key = experiment.store, params["key"]
@@ -468,7 +474,7 @@ def _stage_evaluate(experiment, inputs, params):
     "trace_stats",
     description="Fig. 4-style per-scenario trace statistics",
 )
-def _stage_trace_stats(experiment, inputs, params):
+def _stage_trace_stats(experiment: Experiment, inputs, params):
     """Fig. 4-style per-scenario trace statistics (always recomputed —
     this stage exists to measure the simulator itself)."""
     config = experiment.spec.scenario_config(params["scenario"])

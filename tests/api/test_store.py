@@ -1,17 +1,21 @@
 """Tests for the content-addressed artifact store.
 
-Covers the ISSUE's acceptance criteria: checkpoint round-trips are
-bit-for-bit, same-spec lookups hit, changed seed/window lookups miss,
-and a second context with the same spec never re-simulates or
-re-trains.
+Checkpoint round-trips are bit-for-bit, bundle records round-trip,
+same-spec lookups hit, changed seed/window lookups miss, and a second
+context with the same spec never re-simulates or re-trains.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline_module
+import repro.netsim.scenarios as scenarios_module
 from repro.api import ArtifactStore, Predictor
+from repro.api.spec import scenario_config_to_dict, window_config_to_dict
 from repro.api.store import bundle_key, finetuned_key, pretrained_key, traces_key
+from repro.cli import main
 from repro.core.model import NTTConfig, NTTForDelay
 from repro.core.pipeline import ExperimentContext, get_scale
 from repro.core.pretrain import TrainSettings, pretrain
@@ -53,26 +57,32 @@ class TestGenericAccess:
 
 
 class TestBundleRoundTrip:
-    def test_arrays_and_metadata_survive(self, store, smoke_bundle):
-        store.put_bundle("key", smoke_bundle)
-        restored = store.get_bundle("key")
-        for split in ("train", "val", "test"):
-            original = getattr(smoke_bundle, split)
-            loaded = getattr(restored, split)
-            assert np.array_equal(original.features, loaded.features)
-            assert np.array_equal(original.receiver, loaded.receiver)
-            assert np.array_equal(original.delay_target, loaded.delay_target)
-            assert np.array_equal(
-                original.mct_target, loaded.mct_target, equal_nan=True
-            )
-            assert np.array_equal(original.message_size, loaded.message_size)
-            assert np.array_equal(original.mct_seq, loaded.mct_seq, equal_nan=True)
-            assert np.array_equal(original.end_seq, loaded.end_seq)
-        assert restored.receiver_index == smoke_bundle.receiver_index
-        assert restored.scenario == smoke_bundle.scenario
-        assert restored.window_config == smoke_bundle.window_config
-        assert restored.n_packets == smoke_bundle.n_packets
-        assert restored.name == smoke_bundle.name
+    def test_record_survives(self, store, smoke_bundle):
+        """Only the record is stored; the windows are re-derived from the
+        traces (see tests/core/test_pipeline.py::TestDerivedBundles)."""
+        path = store.put_bundle("key", smoke_bundle)
+        assert path.suffix == ".json"
+        assert store.get_bundle("key") == {
+            "name": smoke_bundle.name,
+            "receiver_index": {str(k): v for k, v in smoke_bundle.receiver_index.items()},
+            "n_packets": smoke_bundle.n_packets,
+            "n_windows": smoke_bundle.n_windows,
+            "scenario": scenario_config_to_dict(smoke_bundle.scenario),
+            "window": window_config_to_dict(smoke_bundle.window_config),
+        }
+
+    def test_legacy_npz_never_read_and_cleared(self, store, smoke_bundle, capsys):
+        legacy = store.root / "bundles" / "key.npz"
+        legacy.parent.mkdir(parents=True)
+        np.savez(legacy, __schema_version__=np.int64(2), junk=np.zeros(3))
+        assert store.get_bundle("key") is None
+        assert not store.is_current("bundles", "key")
+        assert store.keys("bundles") == []
+        assert store.summary()["bundles"]["count"] == 0
+        store.put_bundle("other", smoke_bundle)
+        assert main(["cache", "clear", "--cache-dir", str(store.root)]) == 0
+        assert "removed 2" in capsys.readouterr().out
+        assert not legacy.exists()
 
 
 class TestCheckpointRoundTrip:
@@ -171,38 +181,38 @@ class TestStoreBackedContext:
 
     @pytest.fixture
     def counters(self, monkeypatch):
-        counts = {"generate_dataset": 0, "pretrain": 0}
-        real_generate = pipeline_module.generate_dataset
-        real_pretrain = pipeline_module.pretrain
+        counts = {"generate_traces": 0, "generate_dataset": 0, "pretrain": 0}
+        for module, name in (
+            (scenarios_module, "generate_traces"),
+            (pipeline_module, "generate_dataset"),
+            (pipeline_module, "pretrain"),
+        ):
+            def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
 
-        def counting_generate(*args, **kwargs):
-            counts["generate_dataset"] += 1
-            return real_generate(*args, **kwargs)
-
-        def counting_pretrain(*args, **kwargs):
-            counts["pretrain"] += 1
-            return real_pretrain(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline_module, "generate_dataset", counting_generate)
-        monkeypatch.setattr(pipeline_module, "pretrain", counting_pretrain)
+            monkeypatch.setattr(module, name, counting)
         return counts
 
     def test_second_context_never_recomputes(self, fast_scale, store, counters):
+        """A second context re-windows the stored traces (bundles are
+        derived views) but never re-simulates or re-trains."""
         first = ExperimentContext(fast_scale, store=store)
         first.bundle(ScenarioKind.PRETRAIN)
         first.pretrained()
-        assert counters == {"generate_dataset": 1, "pretrain": 1}
+        assert counters == {"generate_traces": 1, "generate_dataset": 1, "pretrain": 1}
 
         second = ExperimentContext(fast_scale, store=store)
         bundle = second.bundle(ScenarioKind.PRETRAIN)
         result = second.pretrained()
-        assert counters == {"generate_dataset": 1, "pretrain": 1}
+        assert counters == {"generate_traces": 1, "generate_dataset": 2, "pretrain": 1}
         assert len(bundle.train) == len(first.bundle(ScenarioKind.PRETRAIN).train)
         assert result.test_mse_seconds2 == first.pretrained().test_mse_seconds2
 
     def test_changed_seed_recomputes(self, fast_scale, store, counters):
         ExperimentContext(fast_scale, store=store, seed=0).bundle(ScenarioKind.PRETRAIN)
         ExperimentContext(fast_scale, store=store, seed=1).bundle(ScenarioKind.PRETRAIN)
+        assert counters["generate_traces"] == 2
         assert counters["generate_dataset"] == 2
 
     def test_changed_window_recomputes(self, fast_scale, store, counters):
@@ -214,6 +224,7 @@ class TestStoreBackedContext:
         narrow = replace(fast_scale, window=WindowConfig(window_len=32, stride=4))
         ExperimentContext(narrow, store=store).bundle(ScenarioKind.PRETRAIN)
         assert counters["generate_dataset"] == 2
+        assert counters["generate_traces"] == 1  # both windowings share the traces
 
     def test_storeless_context_still_works(self, fast_scale, counters):
         ExperimentContext(fast_scale).bundle(ScenarioKind.PRETRAIN)
@@ -252,11 +263,10 @@ class TestSchemaVersioning:
     """Artifacts stamped by older code must read as cache misses."""
 
     def test_bundle_stamp_roundtrip(self, store, smoke_bundle):
-        from repro.api.store import ARTIFACT_SCHEMA_VERSION, _SCHEMA_KEY
+        from repro.api.store import ARTIFACT_SCHEMA_VERSION
 
         path = store.put_bundle("key", smoke_bundle)
-        with np.load(path) as data:
-            assert int(data[_SCHEMA_KEY]) == ARTIFACT_SCHEMA_VERSION
+        assert json.loads(path.read_text())["schema_version"] == ARTIFACT_SCHEMA_VERSION
 
     def test_stale_bundle_misses(self, store, smoke_bundle, monkeypatch):
         import repro.api.store as store_module
@@ -268,13 +278,19 @@ class TestSchemaVersioning:
         assert path.exists()  # still on disk, just never served
 
     def test_unstamped_bundle_misses(self, store, smoke_bundle):
-        # Simulate a pre-schema artifact: same arrays, no stamp.
+        # Simulate a pre-schema record: same fields, no stamp.
         path = store.put_bundle("key", smoke_bundle)
-        with np.load(path) as data:
-            payload = {name: data[name] for name in data.files if not name.startswith("__schema")}
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **payload)
+        record = json.loads(path.read_text())
+        del record["schema_version"]
+        path.write_text(json.dumps(record))
         assert store.get_bundle("key") is None
+        assert not store.is_current("bundles", "key")
+
+    def test_invalid_bundle_json_misses(self, store, smoke_bundle):
+        path = store.put_bundle("key", smoke_bundle)
+        path.write_text(path.read_text()[:-10])  # a torn write
+        assert store.get_bundle("key") is None
+        assert not store.is_current("bundles", "key")
 
     def test_stale_checkpoint_misses(self, store, smoke_pretrain, monkeypatch):
         import repro.api.store as store_module
@@ -342,7 +358,7 @@ class TestJsonRecords:
 
     def test_unknown_json_kind_rejected(self, store):
         with pytest.raises(ValueError, match="JSON kind"):
-            store.put_json("bundles", "key", {})
+            store.put_json("checkpoints", "key", {})
 
     def test_summary_and_clear_cover_json_kinds(self, store):
         store.put_json("evaluations", "e1", {"x": 1})
@@ -383,12 +399,12 @@ class TestConcurrentWrites:
             ]
             for future in futures:
                 assert future.result() == "shared"
-        # Exactly one artifact, no leftover temp files, loadable content.
+        # Exactly one record, no leftover temp files, loadable content.
         directory = store.root / "bundles"
-        assert sorted(path.name for path in directory.iterdir()) == ["shared.npz"]
+        assert sorted(path.name for path in directory.iterdir()) == ["shared.json"]
         restored = store.get_bundle("shared")
         assert restored is not None
-        assert restored.name == "concurrent"
+        assert restored["name"] == "concurrent"
 
     def test_publish_tolerates_lost_race(self, store, tmp_path):
         # Simulate FileExistsError semantics (non-POSIX os.replace).

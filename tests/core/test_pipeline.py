@@ -6,12 +6,15 @@ suite; here we verify structure and caching on the smoke scale.
 
 import pytest
 
+from repro.api import ArtifactStore
+from repro.api.registry import SCENARIOS
 from repro.core.pipeline import (
     ExperimentContext,
     format_rows,
     get_scale,
     run_table2,
 )
+from repro.datasets.generation import generate_dataset
 from repro.netsim.scenarios import ScenarioKind
 
 
@@ -63,6 +66,51 @@ class TestContext:
     def test_pretrained_cached(self):
         context = ExperimentContext(get_scale("smoke"))
         assert context.pretrained() is context.pretrained()
+
+
+def _assert_bundles_identical(got, want):
+    assert got.receiver_index == want.receiver_index
+    assert got.n_packets == want.n_packets
+    for split in ("train", "val", "test"):
+        for name in ("features", "receiver", "delay_target", "mct_target",
+                     "message_size", "mct_seq", "end_seq"):
+            a, b = getattr(getattr(got, split), name), getattr(getattr(want, split), name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (split, name)
+            assert a.tobytes() == b.tobytes(), (split, name)
+
+
+class TestDerivedBundles:
+    """Bundles are re-windowed from the stored traces, never stored: the
+    windows a store-backed context serves must be byte-identical to a
+    store-less ``generate_dataset`` for every registered scenario."""
+
+    def test_every_scenario_bit_identical_cold_warm_and_resimulated(self, tmp_path):
+        scale = get_scale("smoke")
+
+        def reference(kind, receiver_index=None):
+            return generate_dataset(
+                scale.scenario(kind), window_config=scale.window, n_runs=scale.n_runs,
+                name=kind, receiver_index=receiver_index,
+            )
+
+        pretrain = reference(ScenarioKind.PRETRAIN)
+        expected = {
+            kind: pretrain if kind == ScenarioKind.PRETRAIN
+            else reference(kind, pretrain.receiver_index)
+            for kind in SCENARIOS.names()
+        }
+        store = ArtifactStore(tmp_path / "cache")
+        for phase in ("cold", "warm", "resimulated"):
+            if phase == "resimulated":
+                store.clear("traces")
+                assert store.keys("bundles")  # the records stay
+            context = ExperimentContext(scale, store=store)
+            for kind, want in expected.items():
+                _assert_bundles_identical(context.bundle(kind), want)
+                key = context.bundle_store_key(kind)
+                assert store.get_bundle(key)["n_windows"] == want.n_windows, (phase, kind)
+                assert store.has_traces(context._task_key("traces", {"scenario": kind}),
+                                        scale.n_runs), (phase, kind)
 
 
 class TestRunners:

@@ -83,6 +83,52 @@ class TestResolution:
         main = index.get("main:main")
         assert [site.callee for site in main.calls] == ["pkg.engine:run"]
 
+    def test_annotated_instances_resolve(self, tmp_path):
+        """``x.m()`` through a parameter annotated with an indexed class
+        (imported, dotted or quoted), and ``self.a.m()`` / ``x.a.m()``
+        through an ``a: Cls`` declaration in the class body."""
+        pairs = _write_tree(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/context.py": (
+                "class Context:\n"
+                "    def build(self):\n"
+                "        return 1\n"
+            ),
+            "pkg/facade.py": (
+                "from .context import Context\n"
+                "\n"
+                "class Facade:\n"
+                "    context: Context\n"
+                "    def run(self):\n"
+                "        return self.context.build()\n"
+            ),
+            "pkg/stages.py": (
+                "from pkg import facade\n"
+                "from .facade import Facade\n"
+                "\n"
+                "def stage(experiment: Facade, other: 'Facade', third: facade.Facade, plain):\n"
+                "    experiment.run()\n"
+                "    other.context.build()\n"
+                "    third.run()\n"
+                "    experiment.missing()\n"
+                "    experiment.undeclared.build()\n"
+                "    plain.run()\n"
+            ),
+        })
+        index = ProgramIndex.build(pairs)
+        assert [site.callee for site in index.get("pkg.facade:Facade.run").calls] == [
+            "pkg.context:Context.build"
+        ]
+        calls = sorted(index.get("pkg.stages:stage").calls, key=lambda site: site.line)
+        assert [site.callee for site in calls] == [
+            "pkg.facade:Facade.run",
+            "pkg.context:Context.build",
+            "pkg.facade:Facade.run",
+            None,
+            None,
+            None,
+        ]
+
     def test_unresolvable_calls_are_kept_with_none(self, tmp_path):
         pairs = _write_tree(tmp_path, {
             "mod.py": (

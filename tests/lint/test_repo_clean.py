@@ -15,6 +15,7 @@ from repro.lint import (
     discover_fingerprints,
     run_lint,
 )
+from repro.lint.callgraph import program_index_for_root
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,21 @@ def test_the_required_rules_are_registered():
         "async-blocking", "lock-discipline",
         "stage-fingerprint",
     } <= names
+
+
+@pytest.mark.parametrize(
+    "stage, callee",
+    [
+        ("_stage_pretrain", "repro.core.pretrain:pretrain"),
+        ("_stage_bundle", "repro.datasets.windows:windows_from_trace"),
+    ],
+)
+def test_stage_closures_follow_instance_calls(stage, callee):
+    # Bundles are re-windowed on every read and the training stages
+    # reach their trainers through ``experiment.*`` calls, so these pins
+    # must cover that code for a behaviour edit there to drift them.
+    index = program_index_for_root(default_root().parent)  # scopes as repro/...
+    assert callee in index.transitive_callees(f"repro.runtime.stages:{stage}")
 
 
 def test_committed_fingerprints_match_head():

@@ -113,6 +113,44 @@ class TestRegistry:
         assert sorted(row["m"] for row in grouped["bundle"]) == [2, 3]
 
 
+class TestBundleStage:
+    def test_warm_hit_reads_only_the_record(self, monkeypatch, store):
+        """A warm bundle hit reports the cold run's counts from its
+        record: nothing is windowed and no array under bundles/ is
+        loaded."""
+        import numpy as np
+
+        specs = [ExperimentSpec(scenario=name, scale="smoke") for name in ("pretrain", "case1")]
+        cold = run_campaign(specs, stages=("traces", "bundle"), store=store)
+        assert cold.ok
+
+        def no_windowing(*args, **kwargs):
+            raise AssertionError("a bundle hit windowed the traces")
+
+        loaded = []
+        real_load = np.load
+
+        def recording_load(file, *args, **kwargs):
+            loaded.append(Path(file))
+            return real_load(file, *args, **kwargs)
+
+        monkeypatch.setattr("repro.core.pipeline.generate_dataset", no_windowing)
+        monkeypatch.setattr(np, "load", recording_load)
+        warm = run_campaign(specs, stages=("traces", "bundle"), store=store)
+
+        def bundle_rows(result):
+            return {
+                row["id"]: row for row in result.manifest["tasks"] if row["stage"] == "bundle"
+            }
+
+        cold_rows, warm_rows = bundle_rows(cold), bundle_rows(warm)
+        assert len(warm_rows) == 2 and warm_rows.keys() == cold_rows.keys()
+        for task_id, row in warm_rows.items():
+            assert row["cache_hit"] is True, task_id
+            assert row["result"] == cold_rows[task_id]["result"], task_id
+        assert [path for path in loaded if "bundles" in path.parts] == []
+
+
 class TestGoldenKeyStability:
     """The redesign must not invalidate any existing artifact: planning
     the built-in pipeline produces byte-identical store keys to the
