@@ -2,14 +2,16 @@
 
 The experiment context (datasets + the shared pre-trained NTT) is
 session-scoped and store-backed through ``repro.api``: pre-training
-dominates wall time, all three table benchmarks reuse it, and repeated
-benchmark sessions are served from the on-disk artifact store exactly as
-the paper reuses one pre-trained model.
+dominates wall time and all three table benchmarks and both ablations
+reuse it, exactly as the paper reuses one pre-trained model.
 
 Scale selection: set ``REPRO_BENCH_SCALE`` to ``smoke`` (seconds; the
 default, so the full suite completes in CI), ``small`` (minutes) or
-``paper`` (hours).  Set ``REPRO_CACHE_DIR`` to relocate the artifact
-store.  Note the store makes repeat sessions measure cache loads, not
+``paper`` (hours).  This module is the one reader of the variable.
+
+Artifact store: the root ``conftest.py`` gives every session a fresh
+store, so sessions share artifacts only when ``REPRO_CACHE_DIR`` is
+set.  A shared store makes repeat sessions measure cache loads, not
 training — set ``REPRO_BENCH_NO_CACHE=1`` when the training-time
 columns themselves are the experiment.
 """

@@ -13,30 +13,24 @@ from repro.core.pretrain import pretrain
 from repro.netsim.scenarios import ScenarioKind
 
 
-def test_aggregation_granularity_sweep(scale, context, benchmark):
+def test_aggregation_granularity_sweep(scale, context):
     """Pre-train the NTT under different aggregation specs and compare
     delay MSE: the paper's multi-timescale spec should be competitive
     with both extremes (no history vs. no recent detail)."""
-    specs = dict(context.scale.aggregation_variants)
-
-    def run():
-        bundle = context.bundle(ScenarioKind.PRETRAIN)
-        results = {}
-        for name, spec in specs.items():
-            outcome = pretrain(
-                context.scale.model_config(aggregation=spec),
-                bundle,
-                settings=context.scale.pretrain_settings,
-            )
-            results[name] = {
-                "seq_len": spec.seq_len,
-                "out_len": spec.out_len,
-                "pretrain_delay_mse": outcome.test_mse_seconds2,
-                "train_wall_s": outcome.history.wall_time,
-            }
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    bundle = context.bundle(ScenarioKind.PRETRAIN)
+    results = {}
+    for name, spec in context.scale.aggregation_variants.items():
+        outcome = pretrain(
+            context.scale.model_config(aggregation=spec),
+            bundle,
+            settings=context.scale.pretrain_settings,
+        )
+        results[name] = {
+            "seq_len": spec.seq_len,
+            "out_len": spec.out_len,
+            "pretrain_delay_mse": outcome.test_mse_seconds2,
+            "train_wall_s": outcome.history.wall_time,
+        }
     save_results("ablation_aggregation", {"rows": results})
     print("\nAggregation sweep (delay MSE s^2 x1e-3):")
     for name, row in results.items():
@@ -48,25 +42,21 @@ def test_aggregation_granularity_sweep(scale, context, benchmark):
         assert row["pretrain_delay_mse"] > 0
 
 
-def test_encoder_depth_ablation(scale, context, benchmark):
+def test_encoder_depth_ablation(scale, context):
     """One- vs two-layer encoders on the pre-training task."""
     from dataclasses import replace
 
-    def run():
-        bundle = context.bundle(ScenarioKind.PRETRAIN)
-        results = {}
-        base = context.scale.model_config()
-        for layers in (1, base.n_layers):
-            config = replace(base, n_layers=layers)
-            outcome = pretrain(config, bundle, settings=context.scale.pretrain_settings)
-            results[f"layers_{layers}"] = {
-                "pretrain_delay_mse": outcome.test_mse_seconds2,
-                "parameters": outcome.model.num_parameters(),
-                "train_wall_s": outcome.history.wall_time,
-            }
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    bundle = context.bundle(ScenarioKind.PRETRAIN)
+    results = {}
+    base = context.scale.model_config()
+    for layers in (1, base.n_layers):
+        config = replace(base, n_layers=layers)
+        outcome = pretrain(config, bundle, settings=context.scale.pretrain_settings)
+        results[f"layers_{layers}"] = {
+            "pretrain_delay_mse": outcome.test_mse_seconds2,
+            "parameters": outcome.model.num_parameters(),
+            "train_wall_s": outcome.history.wall_time,
+        }
     save_results("ablation_depth", {"rows": results})
     print("\nEncoder depth sweep:")
     for name, row in results.items():

@@ -3,31 +3,25 @@
 The paper's Fig. 4 is the topology diagram behind the three datasets;
 the executable equivalent is: build each scenario, run it, and report
 packet counts, delay distributions, drops and (for case 2) per-receiver
-delay separation.  The benchmark also measures raw simulation speed.
+delay separation.
 
 The per-scenario fan-out goes through the ``repro.runtime`` campaign
-engine (one uncached ``trace_stats`` task per scenario), so the
-benchmark exercises the same stage code as ``repro sweep``; set
-``REPRO_SWEEP_WORKERS`` to fan the scenarios out over a worker pool.
+engine (one uncached ``trace_stats`` task per scenario, run in-process),
+so the benchmark exercises the same stage code as ``repro sweep``.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
 from benchmarks.conftest import save_results
-from repro.netsim.scenarios import ScenarioKind, build_scenario
+from repro.netsim.scenarios import ScenarioKind
 from repro.runtime import CampaignEngine, expand_grid, plan_campaign
 
 
 def _stats_for_scenarios(scale, kinds) -> dict:
     """Fan the per-scenario statistics out through the campaign engine."""
-    workers = int(os.environ.get("REPRO_SWEEP_WORKERS", "1"))
     specs = expand_grid(scenarios=kinds, scales=[scale.name], seeds=[0])
     plan = plan_campaign(specs, stages=("trace_stats",))
-    engine = CampaignEngine(store=None, workers=workers)
+    engine = CampaignEngine(store=None)
     result = engine.run(plan)
     failures = result.failed_tasks()
     assert not failures, failures
@@ -37,13 +31,9 @@ def _stats_for_scenarios(scale, kinds) -> dict:
     return by_scenario
 
 
-def test_fig4_trace_statistics(scale, benchmark):
+def test_fig4_trace_statistics(scale):
     """Regenerate all three Fig. 4 datasets and validate their shape."""
-
-    def run():
-        return _stats_for_scenarios(scale, ScenarioKind.ALL)
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    stats = _stats_for_scenarios(scale, ScenarioKind.ALL)
     save_results("fig4_scenarios", {"stats": stats})
 
     pretrain = stats[ScenarioKind.PRETRAIN]
@@ -65,16 +55,3 @@ def test_fig4_trace_statistics(scale, benchmark):
             f"delay p50/p99 = {row['delay_p50_ms']:.1f}/{row['delay_p99_ms']:.1f} ms "
             f"drops={row['queue_drops']}"
         )
-
-
-def test_simulator_event_throughput(scale, benchmark):
-    """Micro-benchmark: simulator events per second on the pre-training
-    scenario (ns-3 replacement cost)."""
-
-    def run():
-        handle = build_scenario(scale.scenario(ScenarioKind.PRETRAIN))
-        handle.run()
-        return handle.sim.events_processed
-
-    events = benchmark(run)
-    assert events > 1_000

@@ -21,10 +21,8 @@ from benchmarks.conftest import save_results
 from repro.core.pipeline import format_rows, run_table3
 
 
-def test_table3_larger_topology(scale, context, benchmark):
-    rows = benchmark.pedantic(
-        lambda: run_table3(scale, context), rounds=1, iterations=1
-    )
+def test_table3_larger_topology(scale, context):
+    rows = run_table3(scale, context)
     save_results("table3", {"rows": rows})
     print("\nTable 3 (delay MSE s^2 x1e-3, fine-tuning wall time s):")
     print(format_rows(rows))

@@ -8,7 +8,6 @@ Benchmarks and examples are thin wrappers around this module.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.core.aggregation import AggregationSpec
@@ -128,11 +127,8 @@ def _paper_scale() -> ExperimentScale:
 _SCALES = {"smoke": _smoke_scale, "small": _small_scale, "paper": _paper_scale}
 
 
-def get_scale(name: str | None = None) -> ExperimentScale:
-    """Resolve a scale by name, defaulting to ``$REPRO_BENCH_SCALE`` or
-    ``small``."""
-    if name is None:
-        name = os.environ.get("REPRO_BENCH_SCALE", "small")
+def get_scale(name: str = "small") -> ExperimentScale:
+    """Resolve a scale by name (default ``small``)."""
     try:
         return _SCALES[name]()
     except KeyError:

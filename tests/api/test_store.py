@@ -55,6 +55,11 @@ class TestGenericAccess:
         assert store.clear() == 1
         assert store.keys("bundles") == []
 
+    def test_default_root_is_the_session_store(self, repro_cache_dir):
+        # Unless REPRO_CACHE_DIR is set, the suite's default store is a
+        # fresh per-session directory, never ~/.cache/repro.
+        assert ArtifactStore().root == repro_cache_dir
+
 
 class TestBundleRoundTrip:
     def test_record_survives(self, store, smoke_bundle):

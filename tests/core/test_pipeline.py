@@ -29,8 +29,9 @@ class TestScales:
             get_scale("enormous")
 
     def test_env_default(self, monkeypatch):
+        # The benchmark conftest is the one reader of the variable.
         monkeypatch.setenv("REPRO_BENCH_SCALE", "smoke")
-        assert get_scale().name == "smoke"
+        assert get_scale().name == "small"
 
     def test_scenario_presets_per_scale(self):
         assert get_scale("paper").scenario(ScenarioKind.PRETRAIN).n_senders == 60

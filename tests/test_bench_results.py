@@ -21,9 +21,9 @@ def results_dir(tmp_path, monkeypatch):
 
 def test_smoke_results_routed_to_subdir(results_dir, monkeypatch):
     monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-    path = bench_conftest.save_results("attention_scaling", {"ratio": 1.0})
-    assert path == results_dir / "smoke" / "attention_scaling.json"
-    assert not (results_dir / "attention_scaling.json").exists()
+    path = bench_conftest.save_results("fig4_scenarios", {"stats": {}})
+    assert path == results_dir / "smoke" / "fig4_scenarios.json"
+    assert not (results_dir / "fig4_scenarios.json").exists()
 
 
 def test_small_results_written_in_place(results_dir, monkeypatch):
@@ -34,17 +34,17 @@ def test_small_results_written_in_place(results_dir, monkeypatch):
 
 def test_payload_stamped_with_scale(results_dir, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_SCALE", "smoke")
-    path = bench_conftest.save_results("attention_scaling", {"ratio": 1.0})
+    path = bench_conftest.save_results("fig4_scenarios", {"stats": {}})
     data = json.loads(path.read_text())
-    assert data == {"scale": "smoke", "ratio": 1.0}
+    assert data == {"scale": "smoke", "stats": {}}
 
 
 def test_throughput_smoke_results_never_overwrite_committed(results_dir, monkeypatch):
-    """CI's smoke-scale netsim throughput runs must not clobber the
-    committed small-scale numbers."""
-    committed = results_dir / "netsim_throughput.json"
-    committed.write_text(json.dumps({"scale": "small", "speedup": 3.0}))
+    """Smoke-scale runs must not clobber the committed small-scale
+    numbers."""
+    committed = results_dir / "ablation_depth.json"
+    committed.write_text(json.dumps({"scale": "small", "rows": {"a": 3.0}}))
     monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-    path = bench_conftest.save_results("netsim_throughput", {"speedup": 2.5})
-    assert path == results_dir / "smoke" / "netsim_throughput.json"
-    assert json.loads(committed.read_text())["speedup"] == 3.0
+    path = bench_conftest.save_results("ablation_depth", {"rows": {"a": 2.5}})
+    assert path == results_dir / "smoke" / "ablation_depth.json"
+    assert json.loads(committed.read_text())["rows"]["a"] == 3.0
