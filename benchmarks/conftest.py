@@ -1,6 +1,6 @@
 """Shared benchmark fixtures.
 
-The experiment context (datasets + the shared pre-trained NTT) is
+The experiment (datasets + the shared pre-trained NTT) is
 session-scoped and store-backed through ``repro.api``: pre-training
 dominates wall time and all three table benchmarks and both ablations
 reuse it, exactly as the paper reuses one pre-trained model.
@@ -46,11 +46,6 @@ def experiment(scale):
     if os.environ.get("REPRO_BENCH_NO_CACHE"):
         return Experiment.uncached(spec)
     return Experiment(spec)
-
-
-@pytest.fixture(scope="session")
-def context(experiment):
-    return experiment.context
 
 
 def save_results(name: str, payload: dict) -> Path:

@@ -9,22 +9,19 @@ from __future__ import annotations
 
 from benchmarks.conftest import save_results
 from repro.core.aggregation import AggregationSpec
+from repro.core.pipeline import pretrain_at_scale
 from repro.core.pretrain import pretrain
 from repro.netsim.scenarios import ScenarioKind
 
 
-def test_aggregation_granularity_sweep(scale, context):
+def test_aggregation_granularity_sweep(scale, experiment):
     """Pre-train the NTT under different aggregation specs and compare
     delay MSE: the paper's multi-timescale spec should be competitive
     with both extremes (no history vs. no recent detail)."""
-    bundle = context.bundle(ScenarioKind.PRETRAIN)
+    bundle = experiment.bundle(ScenarioKind.PRETRAIN)
     results = {}
-    for name, spec in context.scale.aggregation_variants.items():
-        outcome = pretrain(
-            context.scale.model_config(aggregation=spec),
-            bundle,
-            settings=context.scale.pretrain_settings,
-        )
+    for name, spec in experiment.scale.aggregation_variants.items():
+        outcome = pretrain_at_scale(experiment.scale, bundle, aggregation=spec)
         results[name] = {
             "seq_len": spec.seq_len,
             "out_len": spec.out_len,
@@ -42,16 +39,16 @@ def test_aggregation_granularity_sweep(scale, context):
         assert row["pretrain_delay_mse"] > 0
 
 
-def test_encoder_depth_ablation(scale, context):
+def test_encoder_depth_ablation(scale, experiment):
     """One- vs two-layer encoders on the pre-training task."""
     from dataclasses import replace
 
-    bundle = context.bundle(ScenarioKind.PRETRAIN)
+    bundle = experiment.bundle(ScenarioKind.PRETRAIN)
     results = {}
-    base = context.scale.model_config()
+    base = experiment.scale.model_config()
     for layers in (1, base.n_layers):
         config = replace(base, n_layers=layers)
-        outcome = pretrain(config, bundle, settings=context.scale.pretrain_settings)
+        outcome = pretrain(config, bundle, settings=experiment.scale.pretrain_settings)
         results[f"layers_{layers}"] = {
             "pretrain_delay_mse": outcome.test_mse_seconds2,
             "parameters": outcome.model.num_parameters(),

@@ -23,8 +23,8 @@ from benchmarks.conftest import save_results
 from repro.core.pipeline import format_rows, run_table1
 
 
-def test_table1_all_models_and_tasks(scale, context):
-    rows = run_table1(scale, context)
+def test_table1_all_models_and_tasks(scale, experiment):
+    rows = run_table1(experiment)
     save_results("table1", {"rows": rows})
     print("\nTable 1 (MSE; delay in s^2 x1e-3, MCT in log^2 x1e-3):")
     print(format_rows(rows))

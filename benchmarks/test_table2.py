@@ -18,8 +18,8 @@ from benchmarks.conftest import save_results
 from repro.core.pipeline import format_rows, run_table2
 
 
-def test_table2_training_resource_savings(scale, context):
-    rows = run_table2(scale, context)
+def test_table2_training_resource_savings(scale, experiment):
+    rows = run_table2(experiment)
     save_results("table2", {"rows": rows})
     print("\nTable 2 (delay MSE s^2 x1e-3, fine-tuning wall time s):")
     print(format_rows(rows))

@@ -21,8 +21,8 @@ from benchmarks.conftest import save_results
 from repro.core.pipeline import format_rows, run_table3
 
 
-def test_table3_larger_topology(scale, context):
-    rows = run_table3(scale, context)
+def test_table3_larger_topology(scale, experiment):
+    rows = run_table3(experiment)
     save_results("table3", {"rows": rows})
     print("\nTable 3 (delay MSE s^2 x1e-3, fine-tuning wall time s):")
     print(format_rows(rows))

@@ -53,7 +53,6 @@ from repro.core.finetune import (
 )
 from repro.core.model import NTT, NTTConfig, NTTForDelay, NTTForMCT
 from repro.core.pipeline import (
-    ExperimentContext,
     ExperimentScale,
     format_rows,
     get_scale,
@@ -113,7 +112,6 @@ __all__ = [
     "inputs_by_stage",
     "stable_hash",
     # scales and runners
-    "ExperimentContext",
     "ExperimentScale",
     "get_scale",
     "run_table1",

@@ -16,27 +16,30 @@ content-addressed, so re-running the same spec is served from disk.
 
 from __future__ import annotations
 
+from repro.core.aggregation import AggregationSpec
+from repro.core.features import FeaturePipeline, FeatureSpec
 from repro.core.finetune import (
     FinetuneMode,
     FinetuneResult,
     finetune_delay,
     finetune_mct,
+    mct_pipeline,
 )
 from repro.core.pipeline import (
-    ExperimentContext,
+    pretrain_at_scale,
     run_table1,
     run_table2,
     run_table3,
 )
 from repro.core.pretrain import PretrainResult
-from repro.datasets.generation import DatasetBundle
-from repro.netsim.scenarios import ScenarioKind
+from repro.datasets.generation import DatasetBundle, build_receiver_index, generate_dataset
+from repro.netsim.scenarios import ScenarioKind, generate_traces
 from repro.netsim.trace import Trace
 
 from repro.api.predictor import Predictor
 from repro.api.spec import ExperimentSpec
 from repro.api.stages import STAGE_REGISTRY
-from repro.api.store import ArtifactStore
+from repro.api.store import ArtifactStore, bundle_key
 
 __all__ = ["Experiment"]
 
@@ -49,6 +52,21 @@ _DEFAULT_STORE = object()
 class Experiment:
     """Spec-driven, store-backed experiment runner.
 
+    Owns the traces, bundles and models behind every method below, with
+    two layers of caching:
+
+    * in-memory — bundles and pre-trained models are memoised per
+      experiment, so repeated calls return the same object;
+    * on-disk — traces and checkpoints are content-addressed in the
+      :class:`~repro.api.store.ArtifactStore` by everything that
+      produced them, so a fresh experiment (even in a new process) with
+      the same spec is served from disk.  Bundles are re-windowed from
+      the stored traces; the store keeps only a record of each.
+
+    Store keys come from the stages' registered ``key_fn`` functions,
+    the derivation the campaign planner uses, so the artifacts a
+    campaign planned are exactly the ones an experiment serves.
+
     Args:
         spec: the declarative experiment description; keyword arguments
             are accepted as a shorthand (``Experiment(scale="smoke")``).
@@ -57,14 +75,10 @@ class Experiment:
             ``store=None`` to disable persistence entirely.
     """
 
-    #: Owns the traces, bundles and models behind every method below.
-    context: ExperimentContext
-
     def __init__(
         self,
         spec: ExperimentSpec | None = None,
         store=_DEFAULT_STORE,
-        context: ExperimentContext | None = None,
         **spec_kwargs,
     ):
         if spec is None:
@@ -73,15 +87,10 @@ class Experiment:
             raise TypeError("pass either a spec or keyword fields, not both")
         self.spec = spec
         self.scale = spec.to_scale()
-        if context is not None:
-            # Bind to an existing context (the campaign engine's
-            # in-process executor shares one context's in-memory caches
-            # across tasks).
-            self.store = context.store if store is _DEFAULT_STORE else store
-            self.context = context
-        else:
-            self.store = ArtifactStore.from_env() if store is _DEFAULT_STORE else store
-            self.context = ExperimentContext(self.scale, store=self.store, seed=spec.seed)
+        self.store = ArtifactStore.from_env() if store is _DEFAULT_STORE else store
+        self._bundles: dict[str, DatasetBundle] = {}
+        self._pretrain_receivers: dict[int, int] | None = None
+        self._pretrained: dict[str, PretrainResult] = {}
 
     @classmethod
     def uncached(cls, spec: ExperimentSpec | None = None, **spec_kwargs) -> "Experiment":
@@ -98,22 +107,102 @@ class Experiment:
             f"seed={self.spec.seed}, hash={self.spec_hash})"
         )
 
+    def _task_key(self, stage: str, params: dict) -> str:
+        return STAGE_REGISTRY.get(stage).task_key(self.spec, params)
+
     # -- simulation ---------------------------------------------------------------
 
     def traces(self, scenario: str | None = None) -> list[Trace]:
-        """Raw simulation traces for a scenario (store-backed)."""
-        return self.context.traces(scenario or self.spec.scenario)
+        """Raw simulation traces for a scenario (store-backed).
+
+        Bundles are windowed from these, so two window configurations
+        over the same scenario share one simulation run set.
+        """
+        scenario = scenario or self.spec.scenario
+        key = None
+        if self.store is not None:
+            key = self._task_key("traces", {"scenario": scenario})
+            cached = self.store.get_traces(key, self.scale.n_runs)
+            if cached is not None:
+                return cached
+        traces = generate_traces(self.spec.scenario_config(scenario), n_runs=self.scale.n_runs)
+        if self.store is not None:
+            self.store.put_traces(key, traces)
+        return traces
 
     # -- datasets -----------------------------------------------------------------
 
+    def _receiver_index(self, scenario: str) -> dict[int, int] | None:
+        """Receiver identities are shared with pre-training: fine-tuning
+        bundles extend the pre-training index, read once per experiment."""
+        if scenario == ScenarioKind.PRETRAIN:
+            return None
+        if self._pretrain_receivers is None:
+            self._pretrain_receivers = self._pretrain_receiver_index()
+        return self._pretrain_receivers
+
+    def _pretrain_receiver_index(self) -> dict[int, int]:
+        """The pre-training bundle's index: from the bundle in memory,
+        else its stored record, else its traces."""
+        pretrain = self._bundles.get(ScenarioKind.PRETRAIN)
+        if pretrain is not None:
+            return pretrain.receiver_index
+        if self.store is not None:
+            record = self.store.get_bundle(self.bundle_store_key(ScenarioKind.PRETRAIN))
+            if record is not None:
+                # JSON keys are strings, sorted as text: restore the int
+                # ids in slot order, the order the index was built in.
+                pairs = sorted(record["receiver_index"].items(), key=lambda item: item[1])
+                return {int(raw): slot for raw, slot in pairs}
+        return build_receiver_index(self.traces(ScenarioKind.PRETRAIN))
+
+    def bundle_store_key(self, scenario: str) -> str:
+        """The store key of one scenario's bundle record (its one
+        derivation).
+
+        Unlike the other built-in keys it depends on data: fine-tuning
+        bundles embed the pre-training receiver index.  The bundle
+        stage's registered ``key_fn`` is therefore only a planning
+        surrogate.
+        """
+        return STAGE_REGISTRY.get("bundle").versioned_key(
+            bundle_key(
+                self.spec.scenario_config(scenario),
+                self.scale.window,
+                self.scale.n_runs,
+                self._receiver_index(scenario),
+            )
+        )
+
     def bundle(self, scenario: str | None = None) -> DatasetBundle:
-        """The windowed dataset for this spec's (or a named) scenario."""
-        return self.context.bundle(scenario or self.spec.scenario)
+        """The windowed dataset for this spec's (or a named) scenario,
+        memoised per experiment.
+
+        Always windowed from :meth:`traces`: re-windowing the stored
+        traces is cheaper than writing and reading back the windows.
+        With a store, the bundle's record is written when none exists.
+        """
+        scenario = scenario or self.spec.scenario
+        if scenario not in self._bundles:
+            bundle = generate_dataset(
+                self.spec.scenario_config(scenario),
+                window_config=self.scale.window,
+                n_runs=self.scale.n_runs,
+                name=scenario,
+                receiver_index=self._receiver_index(scenario),
+                traces=self.traces(scenario),
+            )
+            if self.store is not None:
+                key = self.bundle_store_key(scenario)
+                if self.store.get_bundle(key) is None:
+                    self.store.put_bundle(key, bundle)
+            self._bundles[scenario] = bundle
+        return self._bundles[scenario]
 
     # -- models -------------------------------------------------------------------
 
     def pretrained(self, precision: str | None = None) -> PretrainResult:
-        """The shared pre-trained NTT (store-backed).
+        """The shared pre-trained NTT (store-backed, memoised).
 
         ``precision`` defaults to the spec's ``stage_params`` knob
         (``{"pretrain": {"precision": "float32"}}``); float64 keeps the
@@ -122,12 +211,52 @@ class Experiment:
         from repro.runtime.stages import training_precision
 
         precision = precision or training_precision(self.spec, "pretrain")
-        return self.context.pretrained(precision=precision)
+        return self._pretrain_cached(precision=precision)
 
-    def pretrain_variant(self, **overrides) -> PretrainResult:
-        """An ablated pre-training variant (see
-        :meth:`ExperimentContext.pretrain_variant`)."""
-        return self.context.pretrain_variant(**overrides)
+    def pretrain_variant(
+        self,
+        features: FeatureSpec | None = None,
+        aggregation: AggregationSpec | None = None,
+        pipeline: FeaturePipeline | None = None,
+    ) -> PretrainResult:
+        """Pre-train an ablated NTT variant.
+
+        Store-backed like :meth:`pretrained` (each Table 1 row keys its
+        own checkpoint) unless a custom ``pipeline`` is supplied, whose
+        fitted statistics the cache key cannot see.
+        """
+        if pipeline is None:
+            return self._pretrain_cached(features, aggregation)
+        return pretrain_at_scale(
+            self.scale, self.bundle(ScenarioKind.PRETRAIN),
+            features=features, aggregation=aggregation, pipeline=pipeline,
+        )
+
+    def _pretrain_cached(
+        self,
+        features: FeatureSpec | None = None,
+        aggregation: AggregationSpec | None = None,
+        precision: str = "float64",
+    ) -> PretrainResult:
+        """Pre-train one configuration, memoised under its store key, so
+        ablation variants train once per experiment even without a
+        store."""
+        key = self._task_key(
+            "pretrain",
+            {"features": features, "aggregation": aggregation, "precision": precision},
+        )
+        if key in self._pretrained:
+            return self._pretrained[key]
+        result = self.store.get_pretrained(key) if self.store is not None else None
+        if result is None:
+            result = pretrain_at_scale(
+                self.scale, self.bundle(ScenarioKind.PRETRAIN),
+                features=features, aggregation=aggregation, precision=precision,
+            )
+            if self.store is not None:
+                self.store.put_pretrained(key, result)
+        self._pretrained[key] = result
+        return result
 
     def finetuned(
         self,
@@ -175,8 +304,8 @@ class Experiment:
         settings = self.scale.finetune_settings
         key = None
         if self.store is not None:
-            key = STAGE_REGISTRY.get("finetune").task_key(
-                self.spec,
+            key = self._task_key(
+                "finetune",
                 {
                     "scenario": scenario,
                     "task": task,
@@ -206,15 +335,7 @@ class Experiment:
                 precision=precision,
             )
         else:
-            # A fresh MCT scaler per fine-tune: finetune_mct fits it on
-            # the first dataset it sees, so reusing the shared pipeline
-            # would make the stored artifact depend on in-process call
-            # order rather than on the cache key alone.
-            from repro.core.features import FeaturePipeline
-
-            pipeline = FeaturePipeline()
-            pipeline.feature_scaler = pre.pipeline.feature_scaler
-            pipeline.message_size_scaler = pre.pipeline.message_size_scaler
+            pipeline = mct_pipeline(pre.pipeline)
             result = finetune_mct(
                 copy.deepcopy(pre.model), pre.model.config, pipeline, bundle,
                 settings=settings, mode=mode, precision=precision,
@@ -259,11 +380,12 @@ class Experiment:
     # -- the paper's evaluation ---------------------------------------------------
 
     def run_table(self, table: int) -> dict:
-        """Run one of the paper's tables (1, 2 or 3) on this context."""
+        """Run one of the paper's tables (1, 2 or 3), planned from this
+        experiment's spec."""
         try:
             runner = _TABLE_RUNNERS[int(table)]
         except (KeyError, ValueError):
             raise ValueError(
                 f"unknown table {table!r}; choose from {sorted(_TABLE_RUNNERS)}"
             ) from None
-        return runner(self.scale, self.context)
+        return runner(self)

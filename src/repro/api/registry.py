@@ -96,8 +96,8 @@ class ScenarioRegistry:
         return iter(self.names())
 
 
-#: The default (module-level) registry used by specs, the CLI and the
-#: experiment context.
+#: The default (module-level) registry used by specs, the CLI and
+#: experiments.
 SCENARIOS = ScenarioRegistry()
 
 

@@ -15,8 +15,8 @@ adding a new workload must not require editing core code.  A
   global :data:`~repro.api.store.ARTIFACT_SCHEMA_VERSION` hammer;
 * ``key_fn(spec, params)`` — the content-address of the stage's artifact
   (``None`` → the stage is not cacheable).  For the built-in stages it
-  is the one derivation of their store keys, shared by the planner,
-  ``Experiment`` and ``ExperimentContext`` (:mod:`repro.runtime.stages`);
+  is the one derivation of their store keys, shared by the planner and
+  ``Experiment`` (:mod:`repro.runtime.stages`);
 * ``run(experiment, inputs, params)`` — the pure stage body, returning
   ``(cache_hit, result_dict)`` where the result is a small JSON-able
   dictionary (it crosses process boundaries and lands in the campaign

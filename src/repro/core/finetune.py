@@ -37,6 +37,7 @@ __all__ = [
     "FinetuneMode",
     "finetune_delay",
     "finetune_mct",
+    "mct_pipeline",
     "train_delay_from_scratch",
     "train_mct_from_scratch",
 ]
@@ -204,6 +205,20 @@ def make_mct_loaders(
         DataLoader(train_ds, settings.batch_size, shuffle=True, rng=rng, reuse_buffers=True),
         DataLoader(val_ds, max(settings.batch_size, 128), reuse_buffers=True),
     )
+
+
+def mct_pipeline(pretrained: FeaturePipeline) -> FeaturePipeline:
+    """A pipeline for one MCT run: the pre-training feature and
+    message-size statistics plus a fresh, unfitted MCT scaler.
+
+    The MCT runs fit that scaler on the first dataset they see, so
+    sharing one pipeline across runs would make a stored model depend
+    on in-process call order rather than on its cache key alone.
+    """
+    pipeline = FeaturePipeline()
+    pipeline.feature_scaler = pretrained.feature_scaler
+    pipeline.message_size_scaler = pretrained.message_size_scaler
+    return pipeline
 
 
 def finetune_mct(

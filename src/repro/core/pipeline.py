@@ -1,27 +1,33 @@
 """End-to-end experiment pipeline: the paper's evaluation (§4) as code.
 
-:class:`ExperimentContext` owns datasets and the shared pre-trained
-model for one *scale* (``smoke`` / ``small`` / ``paper``); the
-``run_table1/2/3`` functions regenerate the corresponding tables.
-Benchmarks and examples are thin wrappers around this module.
+:class:`ExperimentScale` holds what differs between the ``smoke`` /
+``small`` / ``paper`` scales; :func:`pretrain_at_scale` pre-trains a
+scale's NTT; the ``run_table1/2/3`` functions regenerate the
+corresponding tables from an :class:`~repro.api.experiment.Experiment`,
+which owns the datasets and the shared pre-trained model.  Benchmarks
+and examples are thin wrappers around this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.aggregation import AggregationSpec
 from repro.core.features import FeaturePipeline, FeatureSpec
 from repro.core.model import NTTConfig
 from repro.core.pretrain import PretrainResult, TrainSettings, pretrain
-from repro.datasets.generation import DatasetBundle, build_receiver_index, generate_dataset
+from repro.datasets.generation import DatasetBundle
 from repro.datasets.windows import WindowConfig
-from repro.netsim.scenarios import ScenarioConfig, ScenarioKind
+from repro.netsim.scenarios import ScenarioConfig
+
+if TYPE_CHECKING:
+    from repro.api.experiment import Experiment
 
 __all__ = [
     "ExperimentScale",
-    "ExperimentContext",
     "get_scale",
+    "pretrain_at_scale",
     "run_table1",
     "run_table2",
     "run_table3",
@@ -135,188 +141,27 @@ def get_scale(name: str = "small") -> ExperimentScale:
         raise ValueError(f"unknown scale {name!r}; choose from {sorted(_SCALES)}") from None
 
 
-class ExperimentContext:
-    """Caches datasets and the shared pre-trained model for one scale.
+def pretrain_at_scale(
+    scale: ExperimentScale,
+    bundle: DatasetBundle,
+    features: FeatureSpec | None = None,
+    aggregation: AggregationSpec | None = None,
+    pipeline: FeaturePipeline | None = None,
+    precision: str = "float64",
+) -> PretrainResult:
+    """Pre-train the scale's NTT, or an ablated variant, on ``bundle``.
 
-    Dataset generation and pre-training dominate experiment wall time;
-    the three table runners share them through this context.  Two layers
-    of caching apply:
-
-    * in-memory — repeated calls on one context return the same object;
-    * on-disk — when constructed with an
-      :class:`~repro.api.store.ArtifactStore`, traces and checkpoints
-      are content-addressed by everything that produced them, so a fresh
-      context (even in a new process) with the same spec is served from
-      disk instead of re-simulating / re-training.  Bundles are windowed
-      from the stored traces on every new context; the store keeps only
-      a record of each (see :meth:`bundle`).
-
-    Store keys come from the stages' registered ``key_fn`` functions —
-    the derivation the campaign planner uses — so the artifacts a
-    campaign planned are exactly the ones a context serves.
+    The one place a scale's model config and pre-training settings meet
+    :func:`~repro.core.pretrain.pretrain`; the shared model and every
+    ablation variant go through it.
     """
-
-    def __init__(self, scale: ExperimentScale, store=None, seed: int = 0):
-        self.scale = scale
-        self.store = store
-        self.seed = seed
-        self._bundles: dict[str, DatasetBundle] = {}
-        self._pretrain_receivers: dict[int, int] | None = None
-        self._pretrained: dict[str, PretrainResult] = {}
-        self._spec = None
-
-    def scenario_config(self, kind: str) -> "ScenarioConfig":
-        """The resolved scenario config for a registered scenario name."""
-        return self.scale.scenario(kind, seed=self.seed)
-
-    def _task_key(self, stage: str, params: dict) -> str:
-        """A registered stage's key for this context's scale and seed."""
-        from repro.api.stages import STAGE_REGISTRY
-        from repro.runtime.plan import spec_for_scale
-
-        if self._spec is None:
-            self._spec = spec_for_scale(self.scale, seed=self.seed)
-        return STAGE_REGISTRY.get(stage).task_key(self._spec, params)
-
-    # -- simulation ---------------------------------------------------------------
-
-    def traces(self, kind: str):
-        """Raw simulation traces for one scenario (store-backed).
-
-        Bundles are windowed from these, so two window configurations
-        over the same scenario share one simulation run set.
-        """
-        from repro.netsim.scenarios import generate_traces
-
-        key = None
-        if self.store is not None:
-            key = self._task_key("traces", {"scenario": kind})
-            cached = self.store.get_traces(key, self.scale.n_runs)
-            if cached is not None:
-                return cached
-        traces = generate_traces(self.scenario_config(kind), n_runs=self.scale.n_runs)
-        if self.store is not None:
-            self.store.put_traces(key, traces)
-        return traces
-
-    # -- datasets -----------------------------------------------------------------
-
-    def _receiver_index(self, kind: str) -> dict[int, int] | None:
-        """Receiver identities are shared with pre-training: the index
-        of the pre-training traces, computed once per context."""
-        if kind == ScenarioKind.PRETRAIN:
-            return None
-        if self._pretrain_receivers is None:
-            pretrain = self._bundles.get(ScenarioKind.PRETRAIN)
-            self._pretrain_receivers = (
-                pretrain.receiver_index
-                if pretrain is not None
-                else build_receiver_index(self.traces(ScenarioKind.PRETRAIN))
-            )
-        return self._pretrain_receivers
-
-    def bundle_store_key(self, kind: str) -> str:
-        """The store key of one scenario's bundle record (its one
-        derivation).
-
-        Unlike the other built-in keys it depends on data — fine-tuning
-        bundles embed the pre-training receiver index, so this reads the
-        pre-training traces first.  The bundle stage's registered
-        ``key_fn`` is therefore only a planning surrogate.
-        """
-        from repro.api.stages import STAGE_REGISTRY
-        from repro.api.store import bundle_key
-
-        return STAGE_REGISTRY.get("bundle").versioned_key(
-            bundle_key(
-                self.scenario_config(kind),
-                self.scale.window,
-                self.scale.n_runs,
-                self._receiver_index(kind),
-            )
-        )
-
-    def bundle(self, kind: str) -> DatasetBundle:
-        """The windowed dataset for one scenario (memoised per context).
-
-        Always windowed from :meth:`traces`: re-windowing the stored
-        traces is cheaper than writing and reading back the windows.
-        With a store, the bundle's record is written when none exists.
-        """
-        if kind not in self._bundles:
-            bundle = generate_dataset(
-                self.scenario_config(kind),
-                window_config=self.scale.window,
-                n_runs=self.scale.n_runs,
-                name=kind,
-                receiver_index=self._receiver_index(kind),
-                traces=self.traces(kind),
-            )
-            if self.store is not None:
-                key = self.bundle_store_key(kind)
-                if self.store.get_bundle(key) is None:
-                    self.store.put_bundle(key, bundle)
-            self._bundles[kind] = bundle
-        return self._bundles[kind]
-
-    # -- models --------------------------------------------------------------------
-
-    def _pretrain_cached(
-        self,
-        features: FeatureSpec | None = None,
-        aggregation: AggregationSpec | None = None,
-        precision: str = "float64",
-    ) -> PretrainResult:
-        """Pre-train one configuration, store-backed when possible.
-
-        Results are also memoised in-process under their store key, so
-        ablation variants are trained once per context even without an
-        artifact store.
-        """
-        key = self._task_key(
-            "pretrain",
-            {"features": features, "aggregation": aggregation, "precision": precision},
-        )
-        if key in self._pretrained:
-            return self._pretrained[key]
-        result = self.store.get_pretrained(key) if self.store is not None else None
-        if result is None:
-            config = self.scale.model_config(features=features, aggregation=aggregation)
-            result = pretrain(
-                config,
-                self.bundle(ScenarioKind.PRETRAIN),
-                settings=self.scale.pretrain_settings,
-                precision=precision,
-            )
-            if self.store is not None:
-                self.store.put_pretrained(key, result)
-        self._pretrained[key] = result
-        return result
-
-    def pretrained(self, precision: str = "float64") -> PretrainResult:
-        """The shared fully-featured pre-trained NTT (cached)."""
-        return self._pretrain_cached(precision=precision)
-
-    def pretrain_variant(
-        self,
-        features: FeatureSpec | None = None,
-        aggregation: AggregationSpec | None = None,
-        pipeline: FeaturePipeline | None = None,
-    ) -> PretrainResult:
-        """Pre-train an ablated NTT variant.
-
-        Store-backed like :meth:`pretrained` (each Table 1 row keys its
-        own checkpoint) unless a custom ``pipeline`` is supplied, whose
-        fitted statistics the cache key cannot see.
-        """
-        if pipeline is None:
-            return self._pretrain_cached(features, aggregation)
-        return pretrain(
-            self.scale.model_config(features=features, aggregation=aggregation),
-            self.bundle(ScenarioKind.PRETRAIN),
-            settings=self.scale.pretrain_settings,
-            pipeline=pipeline,
-        )
+    return pretrain(
+        scale.model_config(features=features, aggregation=aggregation),
+        bundle,
+        settings=scale.pretrain_settings,
+        pipeline=pipeline,
+        precision=precision,
+    )
 
 
 # -- table runners -------------------------------------------------------------------
@@ -328,18 +173,15 @@ class ExperimentContext:
 # table's independent units out over a process pool.
 
 
-def _run_table_campaign(table: int, scale, context, engine, workers):
-    """Plan one table for this context and execute it on an engine."""
+def _run_table_campaign(table: int, experiment: Experiment, engine, workers):
+    """Plan one table from the experiment's spec and execute it."""
     from repro.runtime.engine import CampaignEngine
-    from repro.runtime.plan import plan_table, spec_for_scale
+    from repro.runtime.plan import plan_table
 
-    scale = scale if scale is not None else get_scale()
-    context = context if context is not None else ExperimentContext(scale)
     if engine is None:
-        engine = CampaignEngine(store=context.store, workers=workers)
-    spec = spec_for_scale(scale, seed=context.seed)
-    plan, layout = plan_table(table, spec)
-    outcome = engine.run(plan, context=context)
+        engine = CampaignEngine(store=experiment.store, workers=workers)
+    plan, layout = plan_table(table, experiment.spec)
+    outcome = engine.run(plan, experiment=experiment)
     failures = outcome.failed_tasks()
     if failures:
         raise RuntimeError(
@@ -349,12 +191,7 @@ def _run_table_campaign(table: int, scale, context, engine, workers):
     return outcome, layout
 
 
-def run_table1(
-    scale: ExperimentScale | None = None,
-    context: ExperimentContext | None = None,
-    engine=None,
-    workers: int = 1,
-) -> dict:
+def run_table1(experiment: Experiment, engine=None, workers: int = 1) -> dict:
     """Table 1: MSE for all models and tasks (case 1, 10% fine-tuning).
 
     Rows: pre-trained NTT, from-scratch NTT, the two naive baselines and
@@ -362,7 +199,7 @@ def run_table1(
     delay MSE, fine-tuned log-MCT MSE (all in paper units ×10⁻³:
     seconds² for delay, log² for MCT).
     """
-    outcome, layout = _run_table_campaign(1, scale, context, engine, workers)
+    outcome, layout = _run_table_campaign(1, experiment, engine, workers)
     rows: dict[str, dict] = {}
     rows["ntt_pretrained"] = {
         "pretrain_delay_mse": outcome[layout["pretrain"]]["test_mse_seconds2"],
@@ -393,19 +230,14 @@ def run_table1(
     return rows
 
 
-def run_table2(
-    scale: ExperimentScale | None = None,
-    context: ExperimentContext | None = None,
-    engine=None,
-    workers: int = 1,
-) -> dict:
+def run_table2(experiment: Experiment, engine=None, workers: int = 1) -> dict:
     """Table 2: pre-training saves fine-tuning data and compute (case 1).
 
     Rows: pre-trained + decoder-only on full/10% data vs. from-scratch +
     full model on full/10% data; columns: delay MSE and wall-clock
     training time of the fine-tuning stage.
     """
-    outcome, layout = _run_table_campaign(2, scale, context, engine, workers)
+    outcome, layout = _run_table_campaign(2, experiment, engine, workers)
     rows: dict[str, dict] = {}
     for label in ("full", "10pct"):
         rows[f"pretrained_{label}"] = {
@@ -422,12 +254,7 @@ def run_table2(
     return rows
 
 
-def run_table3(
-    scale: ExperimentScale | None = None,
-    context: ExperimentContext | None = None,
-    engine=None,
-    workers: int = 1,
-) -> dict:
+def run_table3(experiment: Experiment, engine=None, workers: int = 1) -> dict:
     """Table 3: the larger topology (case 2).
 
     Pre-trained models fine-tune (full model — the new receivers need
@@ -435,7 +262,7 @@ def run_table3(
     no-receiver-ID ablation cannot tell receivers apart; baselines for
     reference.
     """
-    outcome, layout = _run_table_campaign(3, scale, context, engine, workers)
+    outcome, layout = _run_table_campaign(3, experiment, engine, workers)
     rows: dict[str, dict] = {}
     for label in ("full", "10pct"):
         rows[f"pretrained_{label}"] = {

@@ -37,7 +37,6 @@ from repro.runtime.plan import (
     StageTask,
     plan_campaign,
     plan_table,
-    spec_for_scale,
 )
 from repro.runtime.policy import RetryPolicy
 from repro.runtime.sweep import expand_grid, specs_from_file
@@ -55,7 +54,6 @@ __all__ = [
     "StageTask",
     "plan_campaign",
     "plan_table",
-    "spec_for_scale",
     "expand_grid",
     "specs_from_file",
     "execute_stage",

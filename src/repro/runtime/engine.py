@@ -173,40 +173,21 @@ class CampaignEngine:
     def run(
         self,
         plan: CampaignPlan,
-        context=None,
+        experiment: Experiment | None = None,
         resume_records: dict | None = None,
     ) -> CampaignResult:
         """Execute every task; returns results plus the manifest.
 
-        ``context`` (in-process executor only) shares one
-        :class:`~repro.core.pipeline.ExperimentContext`'s in-memory
-        caches across tasks — the table runners pass theirs so
-        interactive runs keep working without a store.  A context binds
-        a single seed/scale, so it is only accepted for single-spec
-        plans whose spec agrees with it.
+        ``experiment`` (in-process executor only) runs the tasks of its
+        own spec, sharing its in-memory bundles and models; the table
+        runners pass theirs, so interactive runs keep working without a
+        store.  Tasks of any other spec build their own
+        :class:`~repro.api.experiment.Experiment`.
 
         ``resume_records`` (normally supplied by :meth:`resume`) maps
         task ids to previously settled ``done`` records; those tasks
         are replayed instead of re-executed.
         """
-        if context is not None:
-            hashes = {spec.spec_hash for spec in plan.specs}
-            if len(hashes) > 1:
-                raise ValueError(
-                    "a shared context binds one seed/scale; multi-spec plans "
-                    "must run without `context` (each task builds its own)"
-                )
-            if plan.specs and plan.specs[0].seed != context.seed:
-                raise ValueError(
-                    f"context seed {context.seed} does not match the plan's "
-                    f"spec seed {plan.specs[0].seed}"
-                )
-            if plan.specs and not _scales_agree(plan.specs[0].to_scale(), context.scale):
-                raise ValueError(
-                    f"context scale {context.scale.name!r} does not resolve to the "
-                    f"plan's spec scale {plan.specs[0].scale!r}; a mismatch would "
-                    "store artifacts under the wrong cache keys"
-                )
         # One wall-clock stamp for "when" (ISO-8601 UTC) and one
         # monotonic origin for every duration and per-task offset —
         # wall-clock steps (NTP, DST) can never corrupt timings.
@@ -264,7 +245,7 @@ class CampaignEngine:
                 stacklevel=2,
             )
         if workers <= 1:
-            executor: _Executor = _InProcessExecutor(self.store, context)
+            executor: _Executor = _InProcessExecutor(self.store, experiment)
         else:
             executor = _PoolExecutor(
                 workers, self.store, plan.campaign_id, emit, self._task_timeout
@@ -308,7 +289,7 @@ class CampaignEngine:
         }
         return CampaignResult(manifest=manifest, results=results, manifest_path=path)
 
-    def resume(self, campaign_id: str, context=None) -> CampaignResult:
+    def resume(self, campaign_id: str, experiment: Experiment | None = None) -> CampaignResult:
         """Resume a crashed or partially failed campaign from its journal.
 
         Re-plans the identical task graph from the journal header
@@ -346,7 +327,7 @@ class CampaignEngine:
                 f"{campaign_id}: the stage registry or stage versions changed "
                 "since the original run; start a fresh campaign instead"
             )
-        return self.run(plan, context=context, resume_records=state.done_records())
+        return self.run(plan, experiment=experiment, resume_records=state.done_records())
 
     # -- scheduling -----------------------------------------------------------------
 
@@ -601,23 +582,6 @@ class CampaignEngine:
         return {"metrics": merged, "spans": [root], "blas_threads": blas_threads}
 
 
-def _scales_agree(spec_scale, context_scale) -> bool:
-    """Whether two scales produce the same cache keys.
-
-    Compares exactly the fields the artifact-store keys depend on, so a
-    context trained at one scale can never persist artifacts under
-    another scale's keys.
-    """
-    return (
-        spec_scale.window == context_scale.window
-        and spec_scale.n_runs == context_scale.n_runs
-        and spec_scale.model_config() == context_scale.model_config()
-        and spec_scale.pretrain_settings == context_scale.pretrain_settings
-        and spec_scale.finetune_settings == context_scale.finetune_settings
-        and spec_scale.fine_fraction == context_scale.fine_fraction
-    )
-
-
 def _skip_record(task: StageTask, blocker: str, offset_s: float = 0.0) -> dict:
     return {
         "id": task.id,
@@ -697,14 +661,15 @@ class _InProcessExecutor(_Executor):
     so each task is settled and journaled before the next one starts.
 
     Tasks of one spec share an :class:`~repro.api.experiment.Experiment`
-    (built on the caller's ``context`` when one is given), and compute
-    with this process's own BLAS thread count.
+    (the caller's, for its own spec), and compute with this process's
+    own BLAS thread count.
     """
 
-    def __init__(self, store, context):
+    def __init__(self, store, experiment: Experiment | None):
         self._store = store
-        self._context = context
-        self._experiments: dict[str, Experiment] = {}
+        self._experiments: dict[str, Experiment] = (
+            {} if experiment is None else {experiment.spec_hash: experiment}
+        )
         self._queue: collections.deque = collections.deque()
         self.blas_threads = {"per_worker": blas.get_threads(), "source": "inherited"}
 
@@ -715,10 +680,7 @@ class _InProcessExecutor(_Executor):
         spec, payload = self._queue.popleft()
         experiment = self._experiments.get(spec.spec_hash)
         if experiment is None:
-            if self._context is not None:
-                experiment = Experiment(spec, context=self._context)
-            else:
-                experiment = Experiment(spec, store=self._store)
+            experiment = Experiment(spec, store=self._store)
             self._experiments[spec.spec_hash] = experiment
         return [(payload["id"], run_task(payload, experiment=experiment))]
 
@@ -888,7 +850,7 @@ def run_campaign(
     workers: int = 1,
     retries: int = 1,
     seed: int = 0,
-    context=None,
+    experiment: Experiment | None = None,
     policy: RetryPolicy | None = None,
     task_timeout_s: float | None = None,
 ) -> CampaignResult:
@@ -901,4 +863,4 @@ def run_campaign(
         policy=policy,
         task_timeout_s=task_timeout_s,
     )
-    return engine.run(plan, context=context)
+    return engine.run(plan, experiment=experiment)

@@ -51,34 +51,12 @@ __all__ = [
     "CampaignPlan",
     "plan_campaign",
     "plan_table",
-    "spec_for_scale",
 ]
 
 #: Stage names whose planning is orchestrated as one chain by
 #: :func:`_plan_spec` (conditional dependencies, ablation coupling);
 #: every other registered stage plans generically via its entry.
 _CHAIN_STAGES = ("traces", "bundle", "pretrain", "finetune", "evaluate", "trace_stats")
-
-
-def spec_for_scale(scale, seed: int = 0, scenario: str = "pretrain") -> ExperimentSpec:
-    """A fully spelled-out spec equivalent to an :class:`ExperimentScale`.
-
-    The table runners receive ``(scale, context)``; campaign planning
-    needs a spec, so the scale's resolved settings become explicit
-    overrides (hashing identically to the short form when the scale is
-    an unmodified preset).
-    """
-    return ExperimentSpec(
-        scenario=scenario,
-        scale=scale.name,
-        seed=seed,
-        n_runs=scale.n_runs,
-        window=scale.window,
-        model=scale.model,
-        pretrain=scale.pretrain_settings,
-        finetune=scale.finetune_settings,
-        fine_fraction=scale.fine_fraction,
-    )
 
 
 @dataclass

@@ -23,16 +23,15 @@ artifacts (and everything keyed off them) without touching the rest of
 the cache.
 
 Every cacheable built-in stage registers its ``key_fn`` here, and these
-are the only derivations of the built-in store keys: the planner, the
-:class:`~repro.core.pipeline.ExperimentContext` store paths and the
-:class:`~repro.api.experiment.Experiment` facade all call
-``STAGE_REGISTRY.get(name).task_key(spec, params)``, so planned and
-interactive runs address the same artifacts by construction.  The one
-exception is the bundle: its real key embeds the data-dependent
-pre-training receiver index, so its ``key_fn`` is a planning surrogate
-and the store key has its own single derivation,
-:meth:`ExperimentContext.bundle_store_key
-<repro.core.pipeline.ExperimentContext.bundle_store_key>`.
+are the only derivations of the built-in store keys: the planner and
+the :class:`~repro.api.experiment.Experiment` that stage bodies run on
+both call ``STAGE_REGISTRY.get(name).task_key(spec, params)``, so
+planned and interactive runs address the same artifacts by
+construction.  The one exception is the bundle: its real key embeds the
+data-dependent pre-training receiver index, so its ``key_fn`` is a
+planning surrogate and the store key has its own single derivation,
+:meth:`Experiment.bundle_store_key
+<repro.api.experiment.Experiment.bundle_store_key>`.
 
 The training stages accept a ``precision`` stage parameter
 (``ExperimentSpec(stage_params={"pretrain": {"precision": "float32"}})``
@@ -59,9 +58,10 @@ from repro.api.store import (
     traces_key,
 )
 from repro.core.baselines import evaluate_baselines
-from repro.core.features import FeaturePipeline, FeatureSpec
+from repro.core.features import FeatureSpec
 from repro.core.finetune import (
     FinetuneMode,
+    mct_pipeline,
     train_delay_from_scratch,
     train_mct_from_scratch,
 )
@@ -132,7 +132,7 @@ def _traces_key(spec, params):
 def _bundle_surrogate_key(spec, params):
     """Planning surrogate over the bundle's inputs: the store key embeds
     the pre-training receiver index, a value only known once traces
-    exist (see ``ExperimentContext.bundle_store_key``)."""
+    exist (see ``Experiment.bundle_store_key``)."""
     scenario = params["scenario"]
     scale = spec.to_scale()
     return stable_hash(
@@ -296,7 +296,7 @@ def _stage_bundle(experiment: Experiment, inputs, params):
     if store is not None:
         # A hit reports the record's counts without windowing anything;
         # the versioned store key makes a stage-version bump a miss.
-        record = store.get_bundle(experiment.context.bundle_store_key(scenario))
+        record = store.get_bundle(experiment.bundle_store_key(scenario))
         if record is not None:
             return True, {
                 "n_windows": record["n_windows"],
@@ -398,10 +398,7 @@ def _stage_scratch(experiment: Experiment, inputs, params):
         pipeline = pre.pipeline
         result = train_delay_from_scratch(config, pipeline, bundle, settings=settings)
     else:
-        # Isolated MCT scaler, mirroring Experiment's fine-tune path.
-        pipeline = FeaturePipeline()
-        pipeline.feature_scaler = pre.pipeline.feature_scaler
-        pipeline.message_size_scaler = pre.pipeline.message_size_scaler
+        pipeline = mct_pipeline(pre.pipeline)
         result = train_mct_from_scratch(config, pipeline, bundle, settings=settings)
     if store is not None and key is not None:
         store.put_finetuned(key, result, pipeline)

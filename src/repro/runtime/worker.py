@@ -163,8 +163,8 @@ def run_task(payload: dict, experiment: Experiment | None = None) -> dict:
     """Execute one task payload; never raises.
 
     Worker-pool entry point: with no ``experiment`` the spec and store
-    are rebuilt from the payload (each worker process owns its own
-    experiment context; artifacts are shared through the store).
+    are rebuilt from the payload (each worker process builds its own
+    experiment; artifacts are shared through the store).
     Failures come back as structured ``status: "error"`` records so the
     engine can retry and the manifest can record the traceback; retry
     attempts (``payload["attempt"] > 0``) back off with jitter first.

@@ -74,6 +74,42 @@ class TestWorkflow:
         with pytest.raises(ValueError, match="table"):
             Experiment(fast_spec(), store=store).run_table(9)
 
+    def test_run_table_plans_the_experiments_own_spec(self, store, monkeypatch):
+        """The pretrain task a table plans is the model the experiment
+        serves, stage parameters included."""
+        import repro.runtime.plan as plan_module
+
+        exp = Experiment(
+            ExperimentSpec(scale="smoke", stage_params={"pretrain": {"precision": "float32"}}),
+            store=store,
+        )
+
+        class Stop(Exception):
+            pass
+
+        planned, read = [], []
+        plan_table = plan_module.plan_table
+
+        def capture_plan(table, spec, *args, **kwargs):
+            plan, layout = plan_table(table, spec, *args, **kwargs)
+            planned.append(plan.tasks[layout["pretrain"]].key)
+            raise Stop
+
+        def capture_read(self, key):
+            read.append(key)
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(plan_module, "plan_table", capture_plan)
+        monkeypatch.setattr(ArtifactStore, "get_pretrained", capture_read)
+        monkeypatch.setattr("repro.core.pipeline.pretrain", stop)
+        with pytest.raises(Stop):
+            exp.run_table(1)
+        with pytest.raises(Stop):
+            exp.pretrained()
+        assert planned == read and len(read) == 1
+
     def test_predictor_round_trip_through_checkpoint(self, store, tmp_path):
         exp = Experiment(fast_spec(), store=store)
         predictor = exp.predictor()
@@ -89,7 +125,7 @@ class TestWorkflow:
 
     def test_spec_seed_flows_into_scenario(self, store):
         exp = Experiment(replace(fast_spec(), seed=9), store=store)
-        assert exp.context.scenario_config("pretrain").seed == 9
+        assert exp.bundle("pretrain").scenario.seed == 9
 
 
 class TestRegisteredScenarioEndToEnd:

@@ -2,7 +2,7 @@
 
 Checkpoint round-trips are bit-for-bit, bundle records round-trip,
 same-spec lookups hit, changed seed/window lookups miss, and a second
-context with the same spec never re-simulates or re-trains.
+experiment with the same spec never re-simulates or re-trains.
 """
 
 import json
@@ -10,14 +10,14 @@ import json
 import numpy as np
 import pytest
 
+import repro.api.experiment as experiment_module
 import repro.core.pipeline as pipeline_module
-import repro.netsim.scenarios as scenarios_module
-from repro.api import ArtifactStore, Predictor
+from repro.api import ArtifactStore, Experiment, ExperimentSpec, Predictor
 from repro.api.spec import scenario_config_to_dict, window_config_to_dict
 from repro.api.store import bundle_key, finetuned_key, pretrained_key, traces_key
 from repro.cli import main
 from repro.core.model import NTTConfig, NTTForDelay
-from repro.core.pipeline import ExperimentContext, get_scale
+from repro.core.pipeline import get_scale
 from repro.core.pretrain import TrainSettings, pretrain
 from repro.netsim.scenarios import ScenarioConfig, ScenarioKind, generate_traces
 from repro.nn.serialize import load_checkpoint, save_checkpoint
@@ -174,22 +174,19 @@ class TestCacheKeys:
 
 
 class TestStoreBackedContext:
-    """The acceptance criterion: a second context with the same spec is
-    served from the store — no second simulation or training run."""
+    """The acceptance criterion: a second experiment with the same spec
+    is served from the store — no second simulation or training run."""
 
     @pytest.fixture
-    def fast_scale(self):
-        from dataclasses import replace
-
-        scale = get_scale("smoke")
-        return replace(scale, pretrain_settings=FAST, finetune_settings=FAST)
+    def fast_spec(self):
+        return ExperimentSpec(scale="smoke", pretrain=FAST, finetune=FAST)
 
     @pytest.fixture
     def counters(self, monkeypatch):
         counts = {"generate_traces": 0, "generate_dataset": 0, "pretrain": 0}
         for module, name in (
-            (scenarios_module, "generate_traces"),
-            (pipeline_module, "generate_dataset"),
+            (experiment_module, "generate_traces"),
+            (experiment_module, "generate_dataset"),
             (pipeline_module, "pretrain"),
         ):
             def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
@@ -199,41 +196,43 @@ class TestStoreBackedContext:
             monkeypatch.setattr(module, name, counting)
         return counts
 
-    def test_second_context_never_recomputes(self, fast_scale, store, counters):
-        """A second context re-windows the stored traces (bundles are
+    def test_second_context_never_recomputes(self, fast_spec, store, counters):
+        """A second experiment re-windows the stored traces (bundles are
         derived views) but never re-simulates or re-trains."""
-        first = ExperimentContext(fast_scale, store=store)
+        first = Experiment(fast_spec, store=store)
         first.bundle(ScenarioKind.PRETRAIN)
         first.pretrained()
         assert counters == {"generate_traces": 1, "generate_dataset": 1, "pretrain": 1}
 
-        second = ExperimentContext(fast_scale, store=store)
+        second = Experiment(fast_spec, store=store)
         bundle = second.bundle(ScenarioKind.PRETRAIN)
         result = second.pretrained()
         assert counters == {"generate_traces": 1, "generate_dataset": 2, "pretrain": 1}
         assert len(bundle.train) == len(first.bundle(ScenarioKind.PRETRAIN).train)
         assert result.test_mse_seconds2 == first.pretrained().test_mse_seconds2
 
-    def test_changed_seed_recomputes(self, fast_scale, store, counters):
-        ExperimentContext(fast_scale, store=store, seed=0).bundle(ScenarioKind.PRETRAIN)
-        ExperimentContext(fast_scale, store=store, seed=1).bundle(ScenarioKind.PRETRAIN)
+    def test_changed_seed_recomputes(self, fast_spec, store, counters):
+        from dataclasses import replace
+
+        Experiment(fast_spec, store=store).bundle(ScenarioKind.PRETRAIN)
+        Experiment(replace(fast_spec, seed=1), store=store).bundle(ScenarioKind.PRETRAIN)
         assert counters["generate_traces"] == 2
         assert counters["generate_dataset"] == 2
 
-    def test_changed_window_recomputes(self, fast_scale, store, counters):
+    def test_changed_window_recomputes(self, fast_spec, store, counters):
         from dataclasses import replace
 
         from repro.datasets.windows import WindowConfig
 
-        ExperimentContext(fast_scale, store=store).bundle(ScenarioKind.PRETRAIN)
-        narrow = replace(fast_scale, window=WindowConfig(window_len=32, stride=4))
-        ExperimentContext(narrow, store=store).bundle(ScenarioKind.PRETRAIN)
+        Experiment(fast_spec, store=store).bundle(ScenarioKind.PRETRAIN)
+        narrow = replace(fast_spec, window=WindowConfig(window_len=32, stride=4))
+        Experiment(narrow, store=store).bundle(ScenarioKind.PRETRAIN)
         assert counters["generate_dataset"] == 2
         assert counters["generate_traces"] == 1  # both windowings share the traces
 
-    def test_storeless_context_still_works(self, fast_scale, counters):
-        ExperimentContext(fast_scale).bundle(ScenarioKind.PRETRAIN)
-        ExperimentContext(fast_scale).bundle(ScenarioKind.PRETRAIN)
+    def test_storeless_context_still_works(self, fast_spec, counters):
+        Experiment.uncached(fast_spec).bundle(ScenarioKind.PRETRAIN)
+        Experiment.uncached(fast_spec).bundle(ScenarioKind.PRETRAIN)
         assert counters["generate_dataset"] == 2
 
 

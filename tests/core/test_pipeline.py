@@ -1,4 +1,4 @@
-"""Tests for the experiment pipeline (scales, context, table runners).
+"""Tests for the experiment pipeline (scales, experiment caches, table runners).
 
 The table runners themselves are exercised end-to-end by the benchmark
 suite; here we verify structure and caching on the smoke scale.
@@ -6,14 +6,9 @@ suite; here we verify structure and caching on the smoke scale.
 
 import pytest
 
-from repro.api import ArtifactStore
+from repro.api import ArtifactStore, Experiment
 from repro.api.registry import SCENARIOS
-from repro.core.pipeline import (
-    ExperimentContext,
-    format_rows,
-    get_scale,
-    run_table2,
-)
+from repro.core.pipeline import format_rows, get_scale, run_table2
 from repro.datasets.generation import generate_dataset
 from repro.netsim.scenarios import ScenarioKind
 
@@ -51,22 +46,24 @@ class TestScales:
 
 
 class TestContext:
+    """An experiment's in-memory caches."""
+
     def test_bundles_cached(self):
-        context = ExperimentContext(get_scale("smoke"))
-        first = context.bundle(ScenarioKind.PRETRAIN)
-        second = context.bundle(ScenarioKind.PRETRAIN)
+        experiment = Experiment.uncached(scale="smoke")
+        first = experiment.bundle(ScenarioKind.PRETRAIN)
+        second = experiment.bundle(ScenarioKind.PRETRAIN)
         assert first is second
 
     def test_case_bundles_share_receiver_index(self):
-        context = ExperimentContext(get_scale("smoke"))
-        pre = context.bundle(ScenarioKind.PRETRAIN)
-        case1 = context.bundle(ScenarioKind.CASE1)
+        experiment = Experiment.uncached(scale="smoke")
+        pre = experiment.bundle(ScenarioKind.PRETRAIN)
+        case1 = experiment.bundle(ScenarioKind.CASE1)
         for key, value in pre.receiver_index.items():
             assert case1.receiver_index[key] == value
 
     def test_pretrained_cached(self):
-        context = ExperimentContext(get_scale("smoke"))
-        assert context.pretrained() is context.pretrained()
+        experiment = Experiment.uncached(scale="smoke")
+        assert experiment.pretrained() is experiment.pretrained()
 
 
 def _assert_bundles_identical(got, want):
@@ -82,7 +79,7 @@ def _assert_bundles_identical(got, want):
 
 class TestDerivedBundles:
     """Bundles are re-windowed from the stored traces, never stored: the
-    windows a store-backed context serves must be byte-identical to a
+    windows a store-backed experiment serves must be byte-identical to a
     store-less ``generate_dataset`` for every registered scenario."""
 
     def test_every_scenario_bit_identical_cold_warm_and_resimulated(self, tmp_path):
@@ -105,20 +102,18 @@ class TestDerivedBundles:
             if phase == "resimulated":
                 store.clear("traces")
                 assert store.keys("bundles")  # the records stay
-            context = ExperimentContext(scale, store=store)
+            experiment = Experiment(scale="smoke", store=store)
             for kind, want in expected.items():
-                _assert_bundles_identical(context.bundle(kind), want)
-                key = context.bundle_store_key(kind)
+                _assert_bundles_identical(experiment.bundle(kind), want)
+                key = experiment.bundle_store_key(kind)
                 assert store.get_bundle(key)["n_windows"] == want.n_windows, (phase, kind)
-                assert store.has_traces(context._task_key("traces", {"scenario": kind}),
+                assert store.has_traces(experiment._task_key("traces", {"scenario": kind}),
                                         scale.n_runs), (phase, kind)
 
 
 class TestRunners:
     def test_table2_structure(self):
-        scale = get_scale("smoke")
-        context = ExperimentContext(scale)
-        rows = run_table2(scale, context)
+        rows = run_table2(Experiment.uncached(scale="smoke"))
         assert set(rows) == {
             "pretrained_full",
             "pretrained_10pct",

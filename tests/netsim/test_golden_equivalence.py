@@ -36,12 +36,12 @@ TRACE_COLUMNS = (
 )
 
 
-def assert_traces_bit_identical(expected, actual, context=""):
+def assert_traces_bit_identical(expected, actual, label=""):
     for column in TRACE_COLUMNS:
         left = getattr(expected, column)
         right = getattr(actual, column)
-        assert left.dtype == right.dtype, f"{context}{column}: dtype mismatch"
-        assert np.array_equal(left, right), f"{context}{column}: values differ"
+        assert left.dtype == right.dtype, f"{label}{column}: dtype mismatch"
+        assert np.array_equal(left, right), f"{label}{column}: values differ"
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS.names()))
@@ -54,7 +54,7 @@ def test_fast_path_bit_identical_to_reference(name):
         baseline = run_scenario(config)
     fast = run_scenario(config)
     assert len(baseline) == len(fast) > 0
-    assert_traces_bit_identical(baseline, fast, context=f"{name}: ")
+    assert_traces_bit_identical(baseline, fast, label=f"{name}: ")
 
 
 @pytest.mark.parametrize("run_index", [0, 1])
@@ -64,7 +64,7 @@ def test_fast_path_bit_identical_across_run_indices(run_index):
     with reference.legacy_path():
         baseline = run_scenario(config, run_index=run_index)
     fast = run_scenario(config, run_index=run_index)
-    assert_traces_bit_identical(baseline, fast, context=f"run{run_index}: ")
+    assert_traces_bit_identical(baseline, fast, label=f"run{run_index}: ")
 
 
 def test_trace_independent_of_prior_scenarios():
@@ -76,7 +76,7 @@ def test_trace_independent_of_prior_scenarios():
     b_alone = run_scenario(config_b)
     run_scenario(config_a)  # interleave an unrelated simulation
     b_after_a = run_scenario(config_b)
-    assert_traces_bit_identical(b_alone, b_after_a, context="B-after-A: ")
+    assert_traces_bit_identical(b_alone, b_after_a, label="B-after-A: ")
     assert b_alone.message_id.min() >= 0
 
 
@@ -130,7 +130,7 @@ def test_exact_time_delivery_tie_keeps_reference_order():
     fast = build_and_run()
     # The 1-packet queue forces a drop among the tied arrivals: both
     # stacks must drop the same one.
-    assert_traces_bit_identical(baseline, fast, context="tie: ")
+    assert_traces_bit_identical(baseline, fast, label="tie: ")
     assert len(fast) == 2
 
 

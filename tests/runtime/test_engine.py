@@ -161,15 +161,15 @@ class TestFailureHandling:
             assert row["skipped_because"] in pretrain_ids
 
     def test_failed_table_campaign_raises(self, monkeypatch, store):
-        from repro.core.pipeline import ExperimentContext, get_scale, run_table2
+        from repro.api import Experiment
+        from repro.core.pipeline import run_table2
 
         def broken(experiment, inputs, params):
             raise RuntimeError("simulator exploded")
 
         monkeypatch.setattr(STAGE_REGISTRY.get("traces"), "run", broken)
-        context = ExperimentContext(get_scale("smoke"), store=store)
         with pytest.raises(RuntimeError, match="campaign failed"):
-            run_table2(get_scale("smoke"), context)
+            run_table2(Experiment(scale="smoke", store=store))
 
 
 class TestGraphValidation:
@@ -250,32 +250,23 @@ class TestEngineConfiguration:
         plan = plan_campaign(fast_specs())
         assert engine.effective_workers(plan.ordered()) == len(plan)
 
-    def test_shared_context_rejected_for_multi_spec_plans(self):
-        from repro.core.pipeline import ExperimentContext, get_scale
+    def test_experiment_serves_its_own_spec_only(self):
+        # The caller's experiment runs its spec's tasks on its in-memory
+        # caches; a task of any other spec builds its own experiment.
+        from repro.api import Experiment
 
-        plan = plan_campaign(fast_specs(seeds=(0, 1)))
-        context = ExperimentContext(get_scale("smoke"))
-        with pytest.raises(ValueError, match="multi-spec"):
-            CampaignEngine(store=None).run(plan, context=context)
-
-    def test_shared_context_seed_mismatch_rejected(self):
-        from repro.core.pipeline import ExperimentContext, get_scale
-
-        plan = plan_campaign(fast_specs(seeds=(1,)))
-        context = ExperimentContext(get_scale("smoke"), seed=0)
-        with pytest.raises(ValueError, match="seed"):
-            CampaignEngine(store=None).run(plan, context=context)
-
-    def test_shared_context_scale_mismatch_rejected(self, store):
-        # A smoke-trained context bound to a small-scale plan would
-        # persist smoke artifacts under small-scale cache keys.
-        from repro.core.pipeline import ExperimentContext, get_scale
-        from repro.runtime import spec_for_scale, plan_table
-
-        plan, _layout = plan_table(2, spec_for_scale(get_scale("small")))
-        context = ExperimentContext(get_scale("smoke"), store=store)
-        with pytest.raises(ValueError, match="scale"):
-            CampaignEngine(store=store).run(plan, context=context)
+        specs = fast_specs(seeds=(0, 1))
+        plan = plan_campaign(specs, stages=("traces", "bundle"))
+        experiment = Experiment.uncached(specs[0])
+        result = CampaignEngine(store=None).run(plan, experiment=experiment)
+        assert result.ok
+        packets = {
+            task.spec.seed: result.results[task.id]["n_packets"]
+            for task in plan.ordered()
+            if task.stage == "bundle"
+        }
+        assert packets[0] == experiment._bundles["pretrain"].n_packets
+        assert packets[1] != packets[0]
 
 
 def _report_blas_threads(experiment, inputs, params):

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.api import ExperimentSpec
-from repro.runtime import expand_grid, plan_campaign, plan_table, spec_for_scale
-from repro.core.pipeline import get_scale
+from repro.runtime import expand_grid, plan_campaign, plan_table
+
+SMOKE = ExperimentSpec(scenario="pretrain", scale="smoke")
 
 
 def stages_of(plan):
@@ -85,28 +86,9 @@ class TestPlanCampaign:
             assert task.id in text
 
 
-class TestSpecForScale:
-    def test_matches_plain_spec_hash(self):
-        scale = get_scale("smoke")
-        assert (
-            spec_for_scale(scale).spec_hash
-            == ExperimentSpec(scenario="pretrain", scale="smoke").spec_hash
-        )
-
-    def test_captures_modified_settings(self):
-        from dataclasses import replace
-
-        from repro.core.pretrain import TrainSettings
-
-        scale = replace(get_scale("smoke"), pretrain_settings=TrainSettings(epochs=1))
-        spec = spec_for_scale(scale, seed=3)
-        assert spec.pretrain.epochs == 1
-        assert spec.seed == 3
-
-
 class TestPlanTable:
     def test_table1_layout_covers_all_rows(self):
-        plan, layout = plan_table(1, spec_for_scale(get_scale("smoke")))
+        plan, layout = plan_table(1, SMOKE)
         assert set(layout["variants"]) == {
             "no_aggregation",
             "fixed_aggregation",
@@ -120,17 +102,17 @@ class TestPlanTable:
         assert counts["baselines"] == 2
 
     def test_table2_layout(self):
-        plan, layout = plan_table(2, spec_for_scale(get_scale("smoke")))
+        plan, layout = plan_table(2, SMOKE)
         assert {"pretrained_full", "pretrained_10pct", "scratch_full", "scratch_10pct"} <= set(
             layout
         )
         assert stages_of(plan)["pretrain"] == 1
 
     def test_table3_includes_receiver_ablation(self):
-        plan, layout = plan_table(3, spec_for_scale(get_scale("smoke")))
+        plan, layout = plan_table(3, SMOKE)
         assert "without_receiver_id" in layout
         assert stages_of(plan)["pretrain"] == 2  # base + without_receiver
 
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError, match="unknown table"):
-            plan_table(9, spec_for_scale(get_scale("smoke")))
+            plan_table(9, SMOKE)

@@ -116,8 +116,9 @@ class TestRegistry:
 class TestBundleStage:
     def test_warm_hit_reads_only_the_record(self, monkeypatch, store):
         """A warm bundle hit reports the cold run's counts from its
-        record: nothing is windowed and no array under bundles/ is
-        loaded."""
+        records: nothing is windowed and no array under bundles/ or
+        traces/ is loaded (the fine-tune bundle's key takes the
+        pre-training receiver index from the pre-training record)."""
         import numpy as np
 
         specs = [ExperimentSpec(scenario=name, scale="smoke") for name in ("pretrain", "case1")]
@@ -134,7 +135,7 @@ class TestBundleStage:
             loaded.append(Path(file))
             return real_load(file, *args, **kwargs)
 
-        monkeypatch.setattr("repro.core.pipeline.generate_dataset", no_windowing)
+        monkeypatch.setattr("repro.api.experiment.generate_dataset", no_windowing)
         monkeypatch.setattr(np, "load", recording_load)
         warm = run_campaign(specs, stages=("traces", "bundle"), store=store)
 
@@ -149,6 +150,7 @@ class TestBundleStage:
             assert row["cache_hit"] is True, task_id
             assert row["result"] == cold_rows[task_id]["result"], task_id
         assert [path for path in loaded if "bundles" in path.parts] == []
+        assert [path for path in loaded if "traces" in path.parts] == []
 
 
 class TestGoldenKeyStability:
@@ -350,10 +352,33 @@ class TestKeyDerivation:
         assert set(STAGE_REGISTRY.sweep_stages()) - {"trace_stats"} <= planned
         assert {"scratch", "baselines"} <= planned
 
+    #: The training entry points the facade must reach by module
+    #: attribute (profilers wrap them there).
+    TRAINING_NAMES = (
+        "repro.core.pipeline.pretrain",
+        "repro.api.experiment.finetune_delay",
+        "repro.api.experiment.finetune_mct",
+    )
+
     def test_campaign_keys_serve_the_facade(self, store, monkeypatch):
         from repro.api import Experiment
 
         spec = ExperimentSpec(scale="smoke", pretrain=FAST, finetune=FAST)
+
+        class Trained(Exception):
+            """A patched training entry point was reached."""
+
+        def trains(*args, **kwargs):
+            raise Trained
+
+        # Positive control on the cold store: pre-training goes through
+        # the patched name, so the served-from-store checks below are
+        # not vacuous.
+        with monkeypatch.context() as patch:
+            patch.setattr(self.TRAINING_NAMES[0], trains)
+            with pytest.raises(Trained):
+                Experiment(spec, store=store).pretrained()
+
         plan, layout = plan_table(1, spec)
         outcome = CampaignEngine(store=store).run(plan)
         assert outcome.ok
@@ -361,12 +386,8 @@ class TestKeyDerivation:
             if task.kind not in (None, "bundles"):
                 assert store.is_current(task.kind, task.key), task.id
 
-        def no_training(*args, **kwargs):
-            raise AssertionError("served from the store, not trained")
-
-        monkeypatch.setattr("repro.core.pipeline.pretrain", no_training)
-        monkeypatch.setattr("repro.api.experiment.finetune_delay", no_training)
-        monkeypatch.setattr("repro.api.experiment.finetune_mct", no_training)
+        for name in self.TRAINING_NAMES:
+            monkeypatch.setattr(name, trains)
         experiment = Experiment(spec, store=store)
         fraction = spec.to_scale().fine_fraction
         pre = experiment.pretrained()
@@ -375,8 +396,13 @@ class TestKeyDerivation:
             result = experiment.finetuned(scenario="case1", task=task, fraction=fraction)
             assert result.test_mse == outcome[layout[unit]]["test_mse"]
         for kind in ("pretrain", "case1"):
-            key = experiment.context.bundle_store_key(kind)
+            key = experiment.bundle_store_key(kind)
             assert store.is_current("bundles", key)
+        # Positive control: a fine-tune the campaign never ran goes
+        # through the patched names.
+        for task in ("delay", "mct"):
+            with pytest.raises(Trained):
+                experiment.finetuned(scenario="case1", task=task)
 
 
 def _digest_key(spec, params):
